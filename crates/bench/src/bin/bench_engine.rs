@@ -13,8 +13,7 @@
 //! * `full_testbed`   — the paper's testbed end to end (browsers, TCP,
 //!   muxes, Yoda instances with a prequal policy, stores, controller):
 //!   the realistic event mix, dominated by TCP segment handling rather
-//!   than raw dispatch. Runs in the sharded sweep too — per-node RNG
-//!   streams make its digest identical at every worker count.
+//!   than raw dispatch.
 //!
 //! The simulation content is fully deterministic (each scenario prints its
 //! `event_digest`, which must be identical across hosts and across engine
@@ -23,31 +22,29 @@
 //! measurement recorded before the engine overhaul — is preserved and only
 //! `"current"` is replaced, so the repo carries its perf trajectory.
 //!
-//! A sharded sweep then re-runs `pingpong_mesh` and `timer_churn` through
-//! `Engine::run_for_sharded` at 1/2/4/8 workers (override with
-//! `--threads N`). Each sharded digest is asserted equal to the
-//! single-threaded digest measured in the same process — the bench aborts
-//! on any divergence, so the committed `"sharded"` rows are themselves
-//! determinism evidence — and in full mode both are additionally pinned
-//! to the digests committed in `BENCH_engine.json`. Per-row
-//! `events_per_sec_per_worker` is the scaling-efficiency numerator
-//! `scripts/check.sh` reports (on a single-core host the sweep still
-//! verifies digest identity; the efficiency numbers are only meaningful
-//! with real parallelism).
+//! In full mode each scenario's digest is additionally pinned to the
+//! digest committed in `BENCH_engine.json`; the bench aborts on any
+//! divergence.
+//!
+//! The `splice` scenario compares forwarding with the mux fast path off
+//! and on. Its gate is deterministic: the Yoda instance must tunnel at
+//! most half as many packets per delivered data packet on
+//! `forward_spliced` as on `forward_tunneled`. Wall-clock ns/packet is
+//! report-only.
 //!
 //! ```text
-//! bench_engine [--smoke] [--only SCENARIO] [--threads N] [--update BENCH_engine.json]
+//! bench_engine [--smoke] [--only SCENARIO] [--update BENCH_engine.json]
 //! ```
 //!
 //! `--only` restricts the run to one scenario (exact name) — for
 //! profiling a single hot path without the others polluting the samples.
+//! `--help` prints the usage line; any other argument exits with status 2.
 
 use std::fmt::Write as _;
 use std::time::Instant;
 
 use bytes::Bytes;
-use yoda_bench::{arg_flag, arg_str, arg_usize};
-use yoda_core::instance::YodaConfig;
+use yoda_core::instance::{YodaConfig, YodaInstance};
 use yoda_core::testbed::{Testbed, TestbedConfig};
 use yoda_http::{BrowserClient, BrowserConfig, OriginServer};
 use yoda_l4lb::{rendezvous_pick, Mux};
@@ -111,18 +108,14 @@ fn mesh_addr(i: u32) -> Addr {
     Addr::new(10, 20, (i / 250) as u8, (i % 250 + 1) as u8)
 }
 
-/// Committed full-mode digests (see `BENCH_engine.json`): every run —
-/// single-threaded or sharded at any worker count — must land exactly
-/// here.
+/// Committed full-mode digests (see `BENCH_engine.json`): every full run
+/// must land exactly here.
 const PINGPONG_DIGEST_FULL: u64 = 0xb9f7_9de3_8943_a8cd;
 const CHURN_DIGEST_FULL: u64 = 0x9653_0dd7_2d5c_a05f;
 const TESTBED_DIGEST_FULL: u64 = 0x446b_d132_40f8_1607;
 
 struct Measurement {
     name: &'static str,
-    /// Worker count for the sharded executor; `0` means the plain
-    /// single-threaded `run_for` path.
-    threads: usize,
     events: u64,
     elapsed_ns: u128,
     digest: u64,
@@ -135,20 +128,13 @@ impl Measurement {
     fn ns_per_event(&self) -> f64 {
         self.elapsed_ns as f64 / self.events as f64
     }
-    /// Scaling-efficiency numerator: throughput normalised by worker
-    /// count. Flat across thread counts = perfect scaling.
-    fn per_worker(&self) -> f64 {
-        self.events_per_sec() / self.threads.max(1) as f64
-    }
 }
 
 /// Runs `build` + `run_for(duration)` `repeats` times, keeping the fastest
-/// wall-clock run. `threads > 0` drives the sharded executor instead. The
-/// digest must agree across repeats — a mismatch means the engine is
-/// nondeterministic and the numbers are garbage.
+/// wall-clock run. The digest must agree across repeats — a mismatch
+/// means the engine is nondeterministic and the numbers are garbage.
 fn measure(
     name: &'static str,
-    threads: usize,
     repeats: u32,
     duration: SimTime,
     build: impl Fn() -> Engine,
@@ -160,15 +146,10 @@ fn measure(
         eng.run_for(SimTime::from_millis(50));
         let base_events = eng.events_processed();
         let t0 = Instant::now();
-        if threads == 0 {
-            eng.run_for(duration);
-        } else {
-            eng.run_for_sharded(duration, threads);
-        }
+        eng.run_for(duration);
         let elapsed_ns = t0.elapsed().as_nanos().max(1);
         let m = Measurement {
             name,
-            threads,
             events: eng.events_processed() - base_events,
             elapsed_ns,
             digest: eng.event_digest(),
@@ -239,7 +220,7 @@ fn trace_ring(nodes: u32, fanout: u32) -> Engine {
 /// The realistic workload: a scaled-down paper testbed with browsers
 /// fetching through the full L4/L7 stack and a prequal policy installed
 /// at 100 ms (so the probe path is hot too). Returns the bare engine;
-/// `measure` drives it directly, single-threaded or sharded.
+/// `measure` drives it directly.
 fn full_testbed() -> Engine {
     let mut tb = Testbed::build(TestbedConfig {
         seed: 0xBEEF,
@@ -289,21 +270,34 @@ struct SpliceRow {
     digest: u64,
     p50_ms: f64,
     p99_ms: f64,
-    /// Forwarding-tier cost per data packet: raw ns/packet minus the
-    /// `forward_direct` calibration baseline (endpoint + dispatch cost
-    /// both legs pay identically). Zero for rows it doesn't apply to.
-    fwd_overhead_ns: f64,
+    /// Packets the Yoda instances forwarded in the tunneling phase over
+    /// the window — the L7 hop the fast path exists to skip.
+    tunneled: u64,
 }
 
 impl SpliceRow {
     fn ns_per_packet(&self) -> f64 {
         self.elapsed_ns as f64 / self.data_packets.max(1) as f64
     }
+
+    /// Instance-tunneled packets per delivered data packet: the
+    /// deterministic quantity the splice gate compares.
+    fn tunneled_per_packet(&self) -> f64 {
+        self.tunneled as f64 / self.data_packets.max(1) as f64
+    }
+}
+
+/// Total packets the testbed's Yoda instances have tunneled so far.
+fn instance_tunneled(tb: &Testbed) -> u64 {
+    tb.instances
+        .iter()
+        .map(|&i| tb.engine.node_ref::<YodaInstance>(i).tunneled_packets)
+        .sum()
 }
 
 /// Runs the splice-comparison testbed once per repeat (fastest run kept)
 /// with the mux fast path on or off — everything else identical, so the
-/// ns/packet delta isolates the per-packet cost of the L7 instance hop.
+/// legs differ only in whether data packets take the L7 instance hop.
 /// HTTP/1.1 inspection is off in both legs: the comparison targets
 /// steady-state forwarding, where both splice legs are installable.
 fn splice_run(name: &'static str, splice: bool, repeats: u32, duration: SimTime) -> SpliceRow {
@@ -349,6 +343,7 @@ fn splice_run(name: &'static str, splice: bool, repeats: u32, duration: SimTime)
             .iter()
             .map(|&m| tb.engine.node_ref::<Mux>(m).spliced)
             .sum();
+        let tunneled0 = instance_tunneled(&tb);
         let t0 = Instant::now();
         tb.run_for(duration);
         let elapsed_ns = t0.elapsed().as_nanos().max(1);
@@ -384,7 +379,7 @@ fn splice_run(name: &'static str, splice: bool, repeats: u32, duration: SimTime)
             digest: tb.engine.event_digest(),
             p50_ms,
             p99_ms,
-            fwd_overhead_ns: 0.0,
+            tunneled: instance_tunneled(&tb) - tunneled0,
         };
         assert!(m.completed > 0, "{name}: no request completed");
         if splice {
@@ -653,11 +648,8 @@ impl Node for PumpBackend {
 /// byte-identical streams.
 ///
 /// `direct` runs the same pump straight between the two drivers with no
-/// forwarding tier at all — the calibration baseline. Subtracting its
-/// ns/packet from the tunneled and spliced rows isolates the forwarding
-/// tier's own cost from the flat per-event simulator dispatch both legs
-/// pay (endpoint events, payload digesting), which would otherwise drown
-/// the comparison.
+/// forwarding tier at all — a report-only reference for the flat
+/// per-event simulator dispatch cost every leg pays.
 fn splice_forward_run(
     name: &'static str,
     splice: bool,
@@ -714,6 +706,7 @@ fn splice_forward_run(
             .iter()
             .map(|&m| tb.engine.node_ref::<Mux>(m).spliced)
             .sum();
+        let tunneled0 = instance_tunneled(&tb);
         let t0 = Instant::now();
         tb.run_for(duration);
         let elapsed_ns = t0.elapsed().as_nanos().max(1);
@@ -742,7 +735,7 @@ fn splice_forward_run(
             digest: tb.engine.event_digest(),
             p50_ms: 0.0,
             p99_ms: 0.0,
-            fwd_overhead_ns: 0.0,
+            tunneled: instance_tunneled(&tb) - tunneled0,
         };
         if delivered == 0 {
             let inst = tb.instances[0];
@@ -794,12 +787,12 @@ fn json_splice_block(mode: &str, rows: &[SpliceRow]) -> String {
         let comma = if i + 1 < rows.len() { "," } else { "" };
         let _ = writeln!(
             s,
-            "      {{\"name\": \"{}\", \"events\": {}, \"data_packets\": {}, \"ns_per_packet\": {:.1}, \"fwd_overhead_ns_per_packet\": {:.1}, \"spliced\": {}, \"completed\": {}, \"bytes_served\": {}, \"p50_ms\": {:.3}, \"p99_ms\": {:.3}, \"digest\": \"{:#018x}\"}}{comma}",
+            "      {{\"name\": \"{}\", \"events\": {}, \"data_packets\": {}, \"ns_per_packet\": {:.1}, \"tunneled\": {}, \"spliced\": {}, \"completed\": {}, \"bytes_served\": {}, \"p50_ms\": {:.3}, \"p99_ms\": {:.3}, \"digest\": \"{:#018x}\"}}{comma}",
             m.name,
             m.events,
             m.data_packets,
             m.ns_per_packet(),
-            m.fwd_overhead_ns,
+            m.tunneled,
             m.spliced,
             m.completed,
             m.bytes_served,
@@ -835,32 +828,6 @@ fn json_block(mode: &str, results: &[Measurement]) -> String {
     s
 }
 
-/// Renders the sharded sweep: one row per (scenario, worker count), with
-/// the per-worker throughput `scripts/check.sh` turns into a scaling-
-/// efficiency report.
-fn json_sharded_block(mode: &str, rows: &[Measurement]) -> String {
-    let mut s = String::new();
-    let _ = writeln!(s, "  {{");
-    let _ = writeln!(s, "    \"mode\": \"{mode}\",");
-    let _ = writeln!(s, "    \"rows\": [");
-    for (i, m) in rows.iter().enumerate() {
-        let comma = if i + 1 < rows.len() { "," } else { "" };
-        let _ = writeln!(
-            s,
-            "      {{\"name\": \"{}\", \"threads\": {}, \"events\": {}, \"events_per_sec\": {:.0}, \"events_per_sec_per_worker\": {:.0}, \"digest\": \"{:#018x}\"}}{comma}",
-            m.name,
-            m.threads,
-            m.events,
-            m.events_per_sec(),
-            m.per_worker(),
-            m.digest,
-        );
-    }
-    let _ = writeln!(s, "    ]");
-    let _ = write!(s, "  }}");
-    s
-}
-
 /// Extracts the `"baseline": { ... }` block (balanced braces) from a
 /// previously written report, so re-running the bench preserves the
 /// pre-overhaul measurement forever.
@@ -884,50 +851,104 @@ fn extract_baseline(text: &str) -> Option<String> {
     None
 }
 
+const USAGE: &str = "usage: bench_engine [--smoke] [--only SCENARIO] [--update BENCH_engine.json]";
+
+/// Parsed command line.
+struct Args {
+    smoke: bool,
+    only: Option<String>,
+    update: Option<String>,
+}
+
+/// Parses the command line. `--help` prints the usage and exits 0; an
+/// unknown argument or a missing value exits 2, so a stale invocation
+/// fails loudly instead of running the whole bench.
+fn parse_args() -> Args {
+    let mut args = Args {
+        smoke: false,
+        only: None,
+        update: None,
+    };
+    let mut it = std::env::args().skip(1);
+    while let Some(arg) = it.next() {
+        let slot = match arg.as_str() {
+            "--smoke" => {
+                args.smoke = true;
+                continue;
+            }
+            "--help" => {
+                println!("{USAGE}");
+                std::process::exit(0);
+            }
+            "--only" => &mut args.only,
+            "--update" => &mut args.update,
+            _ => {
+                eprintln!("bench_engine: unknown argument `{arg}`\n{USAGE}");
+                std::process::exit(2);
+            }
+        };
+        match it.next() {
+            Some(value) => *slot = Some(value),
+            None => {
+                eprintln!("bench_engine: `{arg}` needs a value\n{USAGE}");
+                std::process::exit(2);
+            }
+        }
+    }
+    args
+}
+
 fn main() {
-    let smoke = arg_flag("smoke");
+    let args = parse_args();
+    let smoke = args.smoke;
     let (repeats, secs) = if smoke { (1, 1) } else { (3, 4) };
     let duration = SimTime::from_secs(secs);
 
-    let only = arg_str("only");
-    let wanted = |name: &str| only.as_deref().is_none_or(|o| o == name);
+    let wanted = |name: &str| args.only.as_deref().is_none_or(|o| o == name);
     let mut results = Vec::new();
     if wanted("pingpong_mesh") {
-        results.push(measure("pingpong_mesh", 0, repeats, duration, || {
+        results.push(measure("pingpong_mesh", repeats, duration, || {
             pingpong_mesh(512, 4)
         }));
     }
     if wanted("timer_churn") {
-        results.push(measure("timer_churn", 0, repeats, duration, || {
+        results.push(measure("timer_churn", repeats, duration, || {
             timer_churn(64, 16)
         }));
     }
     if wanted("trace_ring") {
-        results.push(measure("trace_ring", 0, repeats, duration, || {
+        results.push(measure("trace_ring", repeats, duration, || {
             trace_ring(512, 4)
         }));
     }
     if wanted("full_testbed") {
-        results.push(measure("full_testbed", 0, repeats, duration, full_testbed));
+        results.push(measure("full_testbed", repeats, duration, full_testbed));
+    }
+    if !smoke {
+        for m in &results {
+            let committed = match m.name {
+                "pingpong_mesh" | "trace_ring" => PINGPONG_DIGEST_FULL,
+                "timer_churn" => CHURN_DIGEST_FULL,
+                _ => TESTBED_DIGEST_FULL,
+            };
+            assert_eq!(
+                m.digest, committed,
+                "{} diverged from the committed baseline digest",
+                m.name
+            );
+        }
     }
 
-    // Spliced-vs-tunneled forwarding comparison. Deliberately outside the
-    // sharded sweep (its digests are its own, not the committed testbed
-    // baselines) — the spliced-testbed shard-equivalence proof lives in
-    // tests/shard_determinism.rs instead.
+    // Spliced-vs-tunneled forwarding comparison (its digests are its own,
+    // not the committed scenario baselines).
     let mut splice_rows = Vec::new();
     if wanted("splice") {
-        // Forwarding-tier micro-bench: the headline ns/packet comparison.
-        // `forward_direct` calibrates out the endpoint + simulator-dispatch
-        // cost both legs pay identically; the committed win is the ratio of
-        // forwarding-tier overheads above that common baseline.
+        // Forwarding-tier micro-bench. `forward_direct` is a report-only
+        // reference for the endpoint + simulator-dispatch cost every leg
+        // pays.
         splice_rows.push(splice_forward_run("forward_direct", false, true, repeats, duration));
         splice_rows.push(splice_forward_run("forward_tunneled", false, false, repeats, duration));
         splice_rows.push(splice_forward_run("forward_spliced", true, false, repeats, duration));
-        let base = splice_rows[0].ns_per_packet();
-        splice_rows[1].fwd_overhead_ns = (splice_rows[1].ns_per_packet() - base).max(0.0);
-        splice_rows[2].fwd_overhead_ns = (splice_rows[2].ns_per_packet() - base).max(0.0);
-        let ratio = splice_rows[1].fwd_overhead_ns / splice_rows[2].fwd_overhead_ns.max(1e-9);
         // Full-workload testbed: request latency and workload-level byte
         // identity (identical bytes_served/completed across the legs).
         splice_rows.push(splice_run("testbed_tunneled", false, repeats, duration));
@@ -942,27 +963,30 @@ fn main() {
         );
         for m in &splice_rows {
             eprintln!(
-                "{:17} {:>10} pkts    {:>12.1} ns/packet  fwd {:>9.1} ns  p50 {:>7.2} ms  p99 {:>7.2} ms  digest {:#018x}",
+                "{:17} {:>10} pkts    {:>12.1} ns/packet  tunneled {:>6.3}/pkt  p50 {:>7.2} ms  p99 {:>7.2} ms  digest {:#018x}",
                 m.name,
                 m.data_packets,
                 m.ns_per_packet(),
-                m.fwd_overhead_ns,
+                m.tunneled_per_packet(),
                 m.p50_ms,
                 m.p99_ms,
                 m.digest,
             );
         }
+        // The gate: deterministic, so it runs in smoke mode too. Splicing
+        // must at least halve the instance's tunneled packets per
+        // delivered data packet.
+        let tunneled = splice_rows[1].tunneled_per_packet();
+        let spliced = splice_rows[2].tunneled_per_packet();
         eprintln!(
-            "{:17} {ratio:.2}x forwarding-tier ns/packet win (spliced vs tunneled)",
+            "{:17} instance-tunneled packets per data packet: {spliced:.3} spliced vs {tunneled:.3} tunneled",
             "splice"
         );
-        if !smoke {
-            assert!(
-                ratio >= 2.0,
-                "spliced forwarding must be >=2x cheaper per packet than tunneled \
-                 (got {ratio:.2}x)"
-            );
-        }
+        assert!(
+            spliced <= 0.5 * tunneled,
+            "splicing must at least halve the instance-tunneled packets per data packet \
+             (spliced {spliced:.3} vs tunneled {tunneled:.3})"
+        );
     }
 
     for m in &results {
@@ -976,74 +1000,20 @@ fn main() {
         );
     }
 
-    // Sharded sweep: same workloads through the multi-core executor, one
-    // row per worker count, digest-checked against the single-threaded
-    // run above.
-    let sweep: Vec<usize> = match arg_usize("threads", 0) {
-        0 => vec![1, 2, 4, 8],
-        n => vec![n],
-    };
-    let st_digest = |name: &str| results.iter().find(|m| m.name == name).map(|m| m.digest);
-    let mut sharded = Vec::new();
-    for &threads in &sweep {
-        if wanted("pingpong_mesh") {
-            sharded.push(measure("pingpong_mesh", threads, repeats, duration, || {
-                pingpong_mesh(512, 4)
-            }));
-        }
-        if wanted("timer_churn") {
-            sharded.push(measure("timer_churn", threads, repeats, duration, || {
-                timer_churn(64, 16)
-            }));
-        }
-        if wanted("full_testbed") {
-            sharded.push(measure("full_testbed", threads, repeats, duration, full_testbed));
-        }
-    }
-    for m in &sharded {
-        if let Some(expect) = st_digest(m.name) {
-            assert_eq!(
-                m.digest, expect,
-                "{} at {} workers diverged from the single-threaded digest",
-                m.name, m.threads
-            );
-        }
-        if !smoke {
-            let committed = match m.name {
-                "pingpong_mesh" => PINGPONG_DIGEST_FULL,
-                "timer_churn" => CHURN_DIGEST_FULL,
-                _ => TESTBED_DIGEST_FULL,
-            };
-            assert_eq!(
-                m.digest, committed,
-                "{} at {} workers diverged from the committed baseline digest",
-                m.name, m.threads
-            );
-        }
-        eprintln!(
-            "{:16} x{:<2} {:>10} events  {:>12.0} events/s  {:>12.0} ev/s/worker  digest {:#018x}",
-            m.name,
-            m.threads,
-            m.events,
-            m.events_per_sec(),
-            m.per_worker(),
-            m.digest,
-        );
-    }
-
     let mode = if smoke { "smoke" } else { "full" };
     let current = json_block(mode, &results);
-    let sharded_block = json_sharded_block(mode, &sharded);
     let splice_block = json_splice_block(mode, &splice_rows);
-    let baseline = arg_str("update")
+    let baseline = args
+        .update
+        .as_deref()
         .and_then(|path| std::fs::read_to_string(path).ok())
         .and_then(|text| extract_baseline(&text))
         .unwrap_or_else(|| current.clone());
 
     let report = format!(
-        "{{\n  \"bench\": \"bench_engine\",\n  \"schema\": 4,\n  \"baseline\":\n{baseline},\n  \"current\":\n{current},\n  \"sharded\":\n{sharded_block},\n  \"splice\":\n{splice_block}\n}}\n"
+        "{{\n  \"bench\": \"bench_engine\",\n  \"schema\": 5,\n  \"baseline\":\n{baseline},\n  \"current\":\n{current},\n  \"splice\":\n{splice_block}\n}}\n"
     );
-    match arg_str("update") {
+    match args.update {
         Some(path) => {
             std::fs::write(&path, &report).expect("write bench report");
             eprintln!("wrote {path}");

@@ -9,7 +9,7 @@
 
 use std::any::Any;
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap};
+use std::collections::BinaryHeap;
 
 use crate::addr::Addr;
 // AddrMap (not Hash*): deterministic fixed-hash table with a lookup-only
@@ -28,42 +28,39 @@ use crate::wheel::{TimerWheel, WheelItem};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct NodeId(pub usize);
 
-pub(crate) struct NodeMeta {
+struct NodeMeta {
     /// Interned in the engine's [`SymbolTable`]: trace records carry the
     /// 4-byte id instead of cloning the name, and — unlike the old
-    /// `Rc<str>` sharing — the id is `Send`, so node metadata can move
-    /// between shard workers.
-    pub(crate) name: NameId,
-    pub(crate) zone: Zone,
-    pub(crate) alive: bool,
+    /// `Rc<str>` sharing — the id is `Send`, so the engine can move to
+    /// another thread.
+    name: NameId,
+    zone: Zone,
+    alive: bool,
     /// Partitioned ingress: packets addressed to this node are dropped at
     /// delivery time. Unlike `alive == false`, the node keeps running
     /// (its timers still fire) — it just can't hear the network.
-    pub(crate) cut_in: bool,
+    cut_in: bool,
     /// Partitioned egress: packets this node sends never reach the wire.
-    pub(crate) cut_out: bool,
+    cut_out: bool,
     /// Bumped on restore so stale timers from before a crash never fire.
-    pub(crate) generation: u64,
+    generation: u64,
     /// Gray link degradation (chaos `LinkDegrade`): extra loss applied to
     /// every packet this node sends or receives. Zero when clear — the
     /// degrade hook consumes no RNG then, so runs without the fault
     /// replay bit-for-bit identically to runs before the feature existed.
-    pub(crate) degrade_loss: f64,
+    degrade_loss: f64,
     /// Extra per-packet jitter on this node's links, added on top of the
-    /// base link latency (never delivering earlier, so the sharded
-    /// executor's `min_latency` lookahead stays a valid lower bound).
-    pub(crate) degrade_jitter: SimTime,
-    pub(crate) addrs: Vec<Addr>,
+    /// base link latency (never delivering earlier).
+    degrade_jitter: SimTime,
+    addrs: Vec<Addr>,
     /// This node's private RNG stream, split from the engine seed by
     /// [`NodeId`] at `add_node`. Handlers draw from it via
-    /// [`Ctx::node_rng`]: because it is keyed by node and each node's
-    /// handler invocation order is identical under the single-threaded
-    /// and sharded executors, the draw sequence — and therefore every
-    /// digest — is independent of worker count. Migrated with the node
-    /// across re-shardings; deliberately NOT reset by
+    /// [`Ctx::node_rng`]: because it is keyed by node, a node's draw
+    /// sequence depends only on its own handler order, never on what
+    /// other nodes draw. Deliberately NOT reset by
     /// [`Engine::restore_node`] (a restarted process keeps consuming the
     /// same stream, so a restore never replays earlier randomness).
-    pub(crate) rng: Rng,
+    rng: Rng,
 }
 
 /// Payload of a heap-scheduled event. Only the rare control closure
@@ -71,15 +68,15 @@ pub(crate) struct NodeMeta {
 /// [`TimerWheel`], so the hot path allocates nothing per event.
 ///
 /// `Send` so the engine as a whole is `Send`: a scheduled closure must
-/// not smuggle `Rc`/`RefCell` state into the event queue, where a shard
-/// worker on another core would run it.
+/// not smuggle `Rc`/`RefCell` state into the event queue of an engine
+/// that may move to another thread.
 type Control = Box<dyn FnOnce(&mut Engine) + Send>;
 
 /// What the binary heap actually sorts: a 24-byte key instead of a full
 /// event, so sift operations move 24 bytes rather than ~100. The payload
 /// sits in `EngineCore::payloads[slot]` until the key pops.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub(crate) struct HeapEntry {
+struct HeapEntry {
     /// Absolute time, µs.
     time: u64,
     /// Global insertion sequence — the deterministic tie-breaker.
@@ -90,12 +87,12 @@ pub(crate) struct HeapEntry {
 
 /// Engine internals shared with [`Ctx`]; split from the node storage so a
 /// node can borrow the core mutably while the engine holds the node.
-pub(crate) struct EngineCore {
-    pub(crate) time: SimTime,
+struct EngineCore {
+    time: SimTime,
     /// One global sequence counter shared by packets, timers, and control
     /// events: allocation order IS the deterministic tie-break order.
-    pub(crate) seq: u64,
-    pub(crate) events: BinaryHeap<Reverse<HeapEntry>>,
+    seq: u64,
+    events: BinaryHeap<Reverse<HeapEntry>>,
     /// Control closures for heap entries, indexed by `HeapEntry::slot`;
     /// slots are recycled through `free_payloads` in LIFO order
     /// (deterministic).
@@ -105,47 +102,37 @@ pub(crate) struct EngineCore {
     /// `(deadline, seq)` order. Cancelled timers still pop (flagged) at
     /// their deadline so the event digest is unchanged from the era when
     /// they sat in the heap, and are reclaimed at that pop.
-    pub(crate) wheel: TimerWheel,
-    pub(crate) meta: Vec<NodeMeta>,
+    wheel: TimerWheel,
+    meta: Vec<NodeMeta>,
     /// Node names, interned once at `add_node`; everything else carries
     /// [`NameId`]s.
-    pub(crate) names: SymbolTable,
-    pub(crate) addr_map: AddrMap,
-    pub(crate) rng: Rng,
+    names: SymbolTable,
+    addr_map: AddrMap,
+    rng: Rng,
     /// The seed the engine was built with; per-node streams are split
     /// from it at `add_node` so node randomness never touches the global
     /// `rng` draw order.
-    pub(crate) seed: u64,
-    pub(crate) topology: Topology,
-    pub(crate) trace: TraceSink,
-    pub(crate) next_timer_id: u64,
-    pub(crate) packets_sent: u64,
-    pub(crate) packets_dropped: u64,
-    pub(crate) events_processed: u64,
+    seed: u64,
+    topology: Topology,
+    trace: TraceSink,
+    next_timer_id: u64,
+    packets_sent: u64,
+    packets_dropped: u64,
+    events_processed: u64,
     /// FNV-1a digest folded over every processed event; two runs with the
     /// same seed and scenario must end with identical digests.
-    pub(crate) digest: u64,
-    /// Count of nodes with an active link degrade. The `send_routed`
+    digest: u64,
+    /// Count of nodes with an active link degrade. The `send_from`
     /// degrade hook is gated on this being nonzero, so topologies that
     /// never degrade a link pay one integer compare and consume no RNG.
-    pub(crate) degraded_nodes: u32,
-    /// Timer-handle relocation table, rebuilt whenever the sharded
-    /// executor migrates pending entries back into this wheel (their slab
-    /// slots change, invalidating the slot half of every outstanding
-    /// [`TimerId`]). Keyed by cancellation-match id. Consulted only when
-    /// a direct `cancel(slot, id)` misses, so the single-threaded hot
-    /// path pays one empty-map probe at most.
-    pub(crate) relocated: BTreeMap<u64, u32>,
-    /// Base for the next sharded run's provisional timer ids; advanced at
-    /// teardown so handles issued by different runs can never collide.
-    pub(crate) next_prov: u64,
+    degraded_nodes: u32,
 }
 
 const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
 
 #[inline]
-pub(crate) fn fnv_fold(digest: u64, word: u64) -> u64 {
+fn fnv_fold(digest: u64, word: u64) -> u64 {
     let mut d = digest;
     for byte in word.to_le_bytes() {
         d = (d ^ byte as u64).wrapping_mul(FNV_PRIME);
@@ -199,29 +186,10 @@ impl EngineCore {
         self.trace.record(ev);
     }
 
-    /// Single-threaded send: packets arm into the engine's own wheel.
+    /// The send path: routing, egress partition, link model (RNG),
+    /// duplication, counters and tracing, ending with the in-flight
+    /// packet armed into the wheel.
     fn send_from(&mut self, from: NodeId, pkt: Packet, extra_delay: SimTime) {
-        self.send_routed(from, pkt, extra_delay, &mut |core, at, seq, pkt, dst| {
-            core.wheel.arm(at, seq, 0, WheelItem::Packet { pkt, dst });
-        });
-    }
-
-    /// The full send path — routing, egress partition, link model (RNG),
-    /// duplication, counters, tracing — with the final "arm the in-flight
-    /// packet" step delegated to `arm`. The single-threaded engine arms
-    /// into its own wheel; the sharded executor's replay arms into the
-    /// destination node's shard wheel. Everything digest- and RNG-visible
-    /// happens here, in one place, so both paths are identical by
-    /// construction.
-    pub(crate) fn send_routed<F>(
-        &mut self,
-        from: NodeId,
-        pkt: Packet,
-        extra_delay: SimTime,
-        arm: &mut F,
-    ) where
-        F: FnMut(&mut EngineCore, u64, u64, Packet, u32),
-    {
         let from_zone = self.meta[from.0].zone;
         let to_id = match self.addr_map.get(pkt.dst.addr) {
             Some(id) => id,
@@ -277,7 +245,8 @@ impl EngineCore {
                 } else {
                     None
                 };
-                arm(self, at.as_micros(), seq, pkt, dst);
+                self.wheel
+                    .arm(at.as_micros(), seq, 0, WheelItem::Packet { pkt, dst });
                 if let Some(copy) = dup_pkt {
                     // Second, independent trip through the link model
                     // (own jitter/loss/queue rolls). Armed after the
@@ -293,7 +262,12 @@ impl EngineCore {
                                 self.record_packet(from, TraceKind::PacketDuplicated, &copy, "");
                                 let seq2 = self.seq;
                                 self.seq += 1;
-                                arm(self, at2.as_micros(), seq2, copy, dst);
+                                self.wheel.arm(
+                                    at2.as_micros(),
+                                    seq2,
+                                    0,
+                                    WheelItem::Packet { pkt: copy, dst },
+                                );
                             }
                             None => {
                                 self.packets_dropped += 1;
@@ -322,8 +296,7 @@ impl EngineCore {
     /// lost. RNG is consumed only while at least one node in the engine
     /// is degraded AND this hop touches it, so scenarios without the
     /// fault replay identically to the pre-degrade era. Jitter only ever
-    /// ADDS to the base link latency, keeping `Topology::min_latency` a
-    /// valid lower bound for the sharded executor's lookahead.
+    /// ADDS to the base link latency.
     #[inline]
     fn degrade_delivery(&mut self, from: usize, to: usize, at: SimTime) -> Option<SimTime> {
         if self.degraded_nodes == 0 {
@@ -341,174 +314,90 @@ impl EngineCore {
         }
         Some(at)
     }
-
-    /// O(1) timer cancellation that also survives shard migration: the
-    /// slot half of a [`TimerId`] goes stale when the sharded executor
-    /// rebuilds the wheel, so a direct miss falls back to the relocation
-    /// table (empty unless a sharded run happened, so the single-threaded
-    /// path pays one `is_empty`-cheap probe at most).
-    pub(crate) fn cancel_timer_core(&mut self, id: TimerId) {
-        if self.wheel.cancel(id.slot, id.id) {
-            return;
-        }
-        if let Some(&slot) = self.relocated.get(&id.id) {
-            if self.wheel.cancel(slot, id.id) {
-                self.relocated.remove(&id.id);
-            }
-        }
-    }
-
-    /// Time of the earliest pending control closure, if any. The sharded
-    /// coordinator bounds each parallel window by it, so controls always
-    /// run single-threaded in exact `(time, seq)` order.
-    pub(crate) fn next_control_time(&self) -> Option<u64> {
-        self.events.peek().map(|&Reverse(e)| e.time)
-    }
-
-    /// The node's private RNG stream (see [`NodeMeta::rng`]).
-    pub(crate) fn node_rng(&mut self, node: NodeId) -> &mut Rng {
-        &mut self.meta[node.0].rng
-    }
 }
 
 /// The world a [`Node`] sees while handling an event.
 ///
-/// Backed either by the engine core directly (single-threaded execution)
-/// or by a shard worker (parallel execution): handlers cannot tell the
-/// difference, which is what lets the sharded executor run unmodified
-/// nodes. Handler randomness comes from the per-node stream
-/// ([`Ctx::node_rng`]), which is identical in both modes; the
-/// engine-global stream ([`Ctx::rng`]) is single-threaded-only — see its
-/// docs.
+/// Handler randomness comes from the per-node stream
+/// ([`Ctx::node_rng`]); the engine-global stream ([`Ctx::rng`]) is for
+/// scenario drivers — see its docs.
 pub struct Ctx<'a> {
-    inner: CtxInner<'a>,
-}
-
-enum CtxInner<'a> {
-    /// Single-threaded: every effect applies to the engine immediately.
-    Direct { core: &'a mut EngineCore, node: NodeId },
-    /// Sharded phase A: effects are logged in the worker's mailbox and
-    /// applied to the engine at the next epoch barrier, in canonical
-    /// merged order.
-    Shard {
-        exec: &'a mut crate::shard::ShardWorker,
-        node: NodeId,
-    },
+    core: &'a mut EngineCore,
+    node: NodeId,
 }
 
 impl<'a> Ctx<'a> {
-    /// A context running a handler against a shard worker (sharded
-    /// executor only).
-    pub(crate) fn for_shard(exec: &'a mut crate::shard::ShardWorker, node: NodeId) -> Self {
-        Ctx {
-            inner: CtxInner::Shard { exec, node },
-        }
-    }
-
     /// Current simulated time.
     pub fn now(&self) -> SimTime {
-        match &self.inner {
-            CtxInner::Direct { core, .. } => core.time,
-            CtxInner::Shard { exec, .. } => exec.now(),
-        }
+        self.core.time
     }
 
     /// This node's id.
     pub fn node_id(&self) -> NodeId {
-        match &self.inner {
-            CtxInner::Direct { node, .. } | CtxInner::Shard { node, .. } => *node,
-        }
+        self.node
     }
 
     /// This node's name.
     pub fn node_name(&self) -> &str {
-        match &self.inner {
-            CtxInner::Direct { core, node } => core.names.resolve(core.meta[node.0].name),
-            CtxInner::Shard { exec, node } => exec.node_name(*node),
-        }
+        self.core.names.resolve(self.core.meta[self.node.0].name)
     }
 
     /// The engine-global deterministic RNG.
     ///
-    /// **Single-threaded only**: the global stream's draw order IS part
-    /// of the determinism contract, and a shard worker cannot know how
-    /// many draws other shards' handlers would have made before it under
-    /// single-threaded order. Handlers should draw from [`Ctx::node_rng`]
-    /// instead — the `yoda-tidy` effect pass rejects `Ctx::rng` in any
-    /// handler-reachable function, and this accessor panics if one slips
-    /// through at runtime during a parallel window. The global stream
-    /// remains available to single-threaded scenario drivers and the
-    /// engine's own link model.
+    /// The global stream's draw order is part of the determinism
+    /// contract: every draw shifts what the link model and every later
+    /// caller see. Handlers should draw from [`Ctx::node_rng`] instead —
+    /// the `yoda-tidy` effect pass rejects `Ctx::rng` in any
+    /// handler-reachable function. The global stream remains available
+    /// to scenario drivers and the engine's own link model.
     pub fn rng(&mut self) -> &mut Rng {
-        match &mut self.inner {
-            CtxInner::Direct { core, .. } => &mut core.rng,
-            CtxInner::Shard { .. } => panic!(
-                "Ctx::rng is the engine-global stream and is not available \
-                 under the sharded executor; draw from Ctx::node_rng instead"
-            ),
-        }
+        &mut self.core.rng
     }
 
     /// This node's private RNG stream, split from the engine seed by
-    /// [`NodeId`] at spawn and migrated with the node across
-    /// re-shardings. Identical under the single-threaded and sharded
-    /// executors at every worker count: each node's handlers run in the
-    /// same order in both modes, so the per-node draw sequence — unlike
-    /// the engine-global [`Ctx::rng`] stream — cannot observe how shards
-    /// interleave. This is the sanctioned randomness source for
-    /// `on_packet`/`on_timer`/`on_tick` code.
+    /// [`NodeId`] at spawn. A node's draw sequence depends only on its
+    /// own handler order, so — unlike the engine-global [`Ctx::rng`]
+    /// stream — it cannot observe what other nodes draw. This is the
+    /// sanctioned randomness source for `on_packet`/`on_timer`/`on_tick`
+    /// code.
     pub fn node_rng(&mut self) -> &mut Rng {
-        match &mut self.inner {
-            CtxInner::Direct { core, node } => core.node_rng(*node),
-            CtxInner::Shard { exec, node } => exec.node_rng(*node),
-        }
+        &mut self.core.meta[self.node.0].rng
     }
 
     /// Sends a packet; it is routed by destination address through the
     /// topology's latency/bandwidth model.
     pub fn send(&mut self, pkt: Packet) {
-        match &mut self.inner {
-            CtxInner::Direct { core, node } => core.send_from(*node, pkt, SimTime::ZERO),
-            CtxInner::Shard { exec, node } => exec.log_send(*node, pkt, SimTime::ZERO),
-        }
+        self.core.send_from(self.node, pkt, SimTime::ZERO);
     }
 
     /// Sends a packet after an additional local delay (models local
     /// processing/CPU time before the packet leaves the NIC).
     pub fn send_after(&mut self, delay: SimTime, pkt: Packet) {
-        match &mut self.inner {
-            CtxInner::Direct { core, node } => core.send_from(*node, pkt, delay),
-            CtxInner::Shard { exec, node } => exec.log_send(*node, pkt, delay),
-        }
+        self.core.send_from(self.node, pkt, delay);
     }
 
     /// Arms a one-shot timer `delay` from now.
     pub fn set_timer(&mut self, delay: SimTime, token: TimerToken) -> TimerId {
-        match &mut self.inner {
-            CtxInner::Direct { core, node } => {
-                let id = core.next_timer_id;
-                core.next_timer_id += 1;
-                let generation = core.meta[node.0].generation;
-                let at = core.time + delay;
-                // Timers share the packet/control sequence counter so the
-                // total event order is identical to scheduling them
-                // through the heap.
-                let seq = core.seq;
-                core.seq += 1;
-                let slot = core.wheel.arm(
-                    at.as_micros(),
-                    seq,
-                    id,
-                    WheelItem::Timer {
-                        node: node.0,
-                        generation,
-                        token,
-                    },
-                );
-                TimerId { id, slot }
-            }
-            CtxInner::Shard { exec, node } => exec.set_timer(*node, delay, token),
-        }
+        let core = &mut *self.core;
+        let id = core.next_timer_id;
+        core.next_timer_id += 1;
+        let generation = core.meta[self.node.0].generation;
+        let at = core.time + delay;
+        // Timers share the packet/control sequence counter so the total
+        // event order is identical to scheduling them through the heap.
+        let seq = core.seq;
+        core.seq += 1;
+        let slot = core.wheel.arm(
+            at.as_micros(),
+            seq,
+            id,
+            WheelItem::Timer {
+                node: self.node.0,
+                generation,
+                token,
+            },
+        );
+        TimerId { id, slot }
     }
 
     /// Cancels a previously armed timer in O(1). Cancelling an
@@ -516,54 +405,40 @@ impl<'a> Ctx<'a> {
     /// the wheel slot either holds this timer (marked in place) or has
     /// been reclaimed (the stale handle is rejected by id).
     pub fn cancel_timer(&mut self, id: TimerId) {
-        match &mut self.inner {
-            CtxInner::Direct { core, .. } => core.cancel_timer_core(id),
-            CtxInner::Shard { exec, .. } => exec.cancel_timer(id),
-        }
+        self.core.wheel.cancel(id.slot, id.id);
     }
 
     /// Whether tracing is enabled; lets hot paths skip building
     /// `trace_note` strings that would be thrown away.
     pub fn trace_enabled(&self) -> bool {
-        match &self.inner {
-            CtxInner::Direct { core, .. } => core.trace.is_enabled(),
-            CtxInner::Shard { exec, .. } => exec.trace_enabled(),
-        }
+        self.core.trace.is_enabled()
     }
 
     /// Records a free-form annotation in the trace (no-op when tracing is
     /// disabled).
     pub fn trace_note(&mut self, detail: impl Into<String>) {
-        match &mut self.inner {
-            CtxInner::Direct { core, node } => {
-                if !core.trace.is_enabled() {
-                    return;
-                }
-                let ev = TraceEvent {
-                    time: core.time,
-                    node: core.meta[node.0].name,
-                    kind: TraceKind::Note,
-                    src: None,
-                    dst: None,
-                    protocol: None,
-                    detail: detail.into(),
-                };
-                core.trace.record(ev);
-            }
-            CtxInner::Shard { exec, node } => exec.trace_note(*node, detail.into()),
+        if !self.core.trace.is_enabled() {
+            return;
         }
+        let ev = TraceEvent {
+            time: self.core.time,
+            node: self.core.meta[self.node.0].name,
+            kind: TraceKind::Note,
+            src: None,
+            dst: None,
+            protocol: None,
+            detail: detail.into(),
+        };
+        self.core.trace.record(ev);
     }
 
     /// Looks up which node currently owns an address (if any, and alive).
     pub fn resolve(&self, addr: Addr) -> Option<NodeId> {
-        match &self.inner {
-            CtxInner::Direct { core, .. } => core
-                .addr_map
-                .get(addr)
-                .filter(|&id| core.meta[id].alive)
-                .map(NodeId),
-            CtxInner::Shard { exec, .. } => exec.resolve(addr),
-        }
+        self.core
+            .addr_map
+            .get(addr)
+            .filter(|&id| self.core.meta[id].alive)
+            .map(NodeId)
     }
 }
 
@@ -571,8 +446,8 @@ impl<'a> Ctx<'a> {
 ///
 /// See the [crate-level docs](crate) for an example.
 pub struct Engine {
-    pub(crate) core: EngineCore,
-    pub(crate) nodes: Vec<Option<Box<dyn Node>>>,
+    core: EngineCore,
+    nodes: Vec<Option<Box<dyn Node>>>,
 }
 
 impl Engine {
@@ -605,8 +480,6 @@ impl Engine {
                 events_processed: 0,
                 digest: FNV_OFFSET,
                 degraded_nodes: 0,
-                relocated: BTreeMap::new(),
-                next_prov: 0,
             },
             nodes: Vec::new(),
         }
@@ -882,8 +755,9 @@ impl Engine {
 
     /// Schedules `f` to run against the engine at simulated time `at`
     /// (clamped to now if already past). The closure must be `Send`: it
-    /// rides the event queue, which a shard worker on another core may
-    /// drain, so `Rc`/`RefCell` captures are rejected at compile time.
+    /// rides the event queue, and the engine as a whole must stay `Send`
+    /// so a run can move to another thread, so `Rc`/`RefCell` captures
+    /// are rejected at compile time.
     pub fn schedule(&mut self, at: SimTime, f: impl FnOnce(&mut Engine) + Send + 'static) {
         let t = at.max(self.core.time);
         self.core.push(t, Box::new(f));
@@ -952,10 +826,8 @@ impl Engine {
         };
         {
             let mut ctx = Ctx {
-                inner: CtxInner::Direct {
-                    core: &mut self.core,
-                    node: id,
-                },
+                core: &mut self.core,
+                node: id,
             };
             f(&mut node, &mut ctx);
         }
@@ -972,7 +844,7 @@ impl Engine {
     /// time exceeds `limit_us`. Returns `false` without popping anything
     /// when nothing (eligible) is pending, so a deadline-bounded run
     /// makes exactly one peek and one pop per event on each structure.
-    pub(crate) fn step_bounded(&mut self, limit_us: Option<u64>) -> bool {
+    fn step_bounded(&mut self, limit_us: Option<u64>) -> bool {
         let heap_key = self
             .core
             .events
@@ -1020,12 +892,6 @@ impl Engine {
                     // travelled through the heap.
                     self.core.digest = fnv_fold(self.core.digest, fired.time);
                     self.core.digest = fnv_fold(self.core.digest, 2u64 ^ (fired.id << 8));
-                    if !self.core.relocated.is_empty() {
-                        // The handle can never cancel this timer again;
-                        // keep the post-shard relocation table bounded by
-                        // the pending-timer count.
-                        self.core.relocated.remove(&fired.match_id);
-                    }
                     if fired.cancelled {
                         return true;
                     }
@@ -1108,28 +974,6 @@ impl Engine {
     pub fn run_for(&mut self, duration: SimTime) {
         let deadline = self.core.time + duration;
         self.run_until(deadline);
-    }
-
-    /// Like [`Engine::run_until`], but executes node handlers on
-    /// `threads` parallel shard workers with conservative lookahead
-    /// derived from [`Topology::min_latency`]. The event digest, trace,
-    /// counters, and all node state end bit-for-bit identical to the
-    /// single-threaded run at every thread count — see the `shard` module
-    /// docs for why. `threads <= 1` (or a zero/absent lookahead) falls
-    /// back to the single-threaded path.
-    ///
-    /// Handler randomness is fully supported: nodes draw from their
-    /// per-node streams ([`Ctx::node_rng`]), which replay identically at
-    /// every worker count, so the stock browser/TCP/prequal testbed runs
-    /// sharded with single-threaded digests.
-    pub fn run_until_sharded(&mut self, deadline: SimTime, threads: usize) {
-        crate::shard::run_until_sharded(self, deadline, threads);
-    }
-
-    /// Sharded [`Engine::run_for`]; see [`Engine::run_until_sharded`].
-    pub fn run_for_sharded(&mut self, duration: SimTime, threads: usize) {
-        let deadline = self.core.time + duration;
-        self.run_until_sharded(deadline, threads);
     }
 
     /// Runs until the event queue is completely drained.
@@ -1333,7 +1177,7 @@ mod tests {
     #[test]
     fn scheduled_closures_run_in_order() {
         // Arc<Mutex>, not Rc<RefCell>: schedule requires Send closures
-        // (the compile-time half of the shard-safety story).
+        // so the engine stays Send.
         let mut eng = Engine::with_topology(1, Topology::uniform(SimTime::from_millis(1)));
         let log: std::sync::Arc<std::sync::Mutex<Vec<u32>>> = Default::default();
         let l1 = log.clone();

@@ -48,7 +48,6 @@ pub mod node;
 pub mod packet;
 pub mod rng;
 pub mod service;
-pub mod shard;
 pub mod stats;
 pub mod symtab;
 pub mod time;

@@ -2,8 +2,8 @@
 //!
 //! The engine attributes every trace event to a node by name. Cloning a
 //! `String` per event is too slow for the hot loop, and the previous
-//! `Rc<str>` sharing is not `Send` — a blocker for the sharded multi-core
-//! engine, where trace events cross epoch barriers between workers. A
+//! `Rc<str>` sharing is not `Send`, which the engine (and so its trace)
+//! must be so a whole run can move to another thread. A
 //! [`SymbolTable`] owned by the engine interns each name once and hands
 //! out copyable [`NameId`]s; events carry the 4-byte id and readers
 //! resolve it against the engine's table.
@@ -13,7 +13,7 @@ use std::collections::BTreeMap;
 /// Interned name handle: an index into the owning [`SymbolTable`].
 ///
 /// Plain `u32` data — `Copy`, `Send`, `Sync` — so anything carrying one
-/// (trace events, node metadata) stays shard-safe. Only meaningful
+/// (trace events, node metadata) stays `Send`. Only meaningful
 /// against the table that issued it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NameId(u32);

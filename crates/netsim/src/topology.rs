@@ -231,41 +231,6 @@ impl Topology {
         d > 0.0 && rng.gen_f64() < d
     }
 
-    /// Minimum one-way latency over every directed link that can deliver
-    /// a packet at all, with stacked overrides accounted for (each pair
-    /// contributes its *effective* spec, i.e. the newest active override
-    /// or the base link).
-    ///
-    /// This is the sharded engine's conservative lookahead: a packet sent
-    /// at time `t` is delivered no earlier than `t + min_latency()`, since
-    /// jitter, bandwidth queueing, and local send delay only ever add to
-    /// the base latency. Links with `loss >= 1.0` are excluded — they are
-    /// deterministic blackholes that deliver nothing (notably
-    /// [`LinkSpec::blackhole`], whose latency is zero), so they cannot
-    /// constrain delivery times.
-    ///
-    /// Returns `None` when every directed link is a blackhole (no packet
-    /// can be delivered, so the lookahead is unbounded). A `Some` of zero
-    /// means some live link has zero base latency: conservative lookahead
-    /// collapses, and the sharded executor must fall back to sequential
-    /// stepping (the zero-lookahead guard).
-    pub fn min_latency(&self) -> Option<SimTime> {
-        const ZONES: [Zone; Zone::COUNT] = [Zone::External, Zone::Dc, Zone::Local];
-        let mut min: Option<SimTime> = None;
-        for from in ZONES {
-            for to in ZONES {
-                let spec = self.effective(from, to);
-                if spec.loss >= 1.0 {
-                    continue;
-                }
-                if min.map(|m| spec.latency < m).unwrap_or(true) {
-                    min = Some(spec.latency);
-                }
-            }
-        }
-        min
-    }
-
     /// Computes the delivery time of a packet of `wire_len` bytes sent at
     /// `now` from `from` to `to`, advancing the link's queue occupancy.
     ///
@@ -455,72 +420,6 @@ mod tests {
         assert!(topo
             .delivery_time(SimTime::ZERO, Zone::External, Zone::Dc, 100, &mut rng)
             .is_some());
-    }
-
-    #[test]
-    fn min_latency_picks_fastest_directed_link() {
-        assert_eq!(
-            Topology::uniform(SimTime::from_millis(3)).min_latency(),
-            Some(SimTime::from_millis(3))
-        );
-        // Azure testbed: the 5 µs loopback link is the floor.
-        assert_eq!(
-            Topology::azure_testbed().min_latency(),
-            Some(SimTime::from_micros(5))
-        );
-    }
-
-    #[test]
-    fn min_latency_override_tightens_then_loosens() {
-        let mut topo = Topology::uniform(SimTime::from_millis(10));
-        // A faster override tightens the bound…
-        let fast = topo.apply_override(
-            Zone::Dc,
-            Zone::Local,
-            LinkSpec::with_latency(SimTime::from_millis(2)),
-        );
-        assert_eq!(topo.min_latency(), Some(SimTime::from_millis(2)));
-        // …a newer, slower override on the same pair wins wholesale, so
-        // the bound loosens back to the base (the stack's top is 40 ms,
-        // slower than every base link).
-        let slow = topo.apply_override(
-            Zone::Dc,
-            Zone::Local,
-            LinkSpec::with_latency(SimTime::from_millis(40)),
-        );
-        assert_eq!(topo.min_latency(), Some(SimTime::from_millis(10)));
-        // Clearing the slow override reveals the fast one again.
-        topo.clear_override(Zone::Dc, Zone::Local, slow);
-        assert_eq!(topo.min_latency(), Some(SimTime::from_millis(2)));
-        topo.clear_override(Zone::Dc, Zone::Local, fast);
-        assert_eq!(topo.min_latency(), Some(SimTime::from_millis(10)));
-    }
-
-    #[test]
-    fn min_latency_ignores_blackholes() {
-        let mut topo = Topology::uniform(SimTime::from_millis(7));
-        // A blackhole has zero latency but delivers nothing; it must not
-        // collapse the lookahead to zero.
-        let id = topo.apply_override(Zone::External, Zone::Dc, LinkSpec::blackhole());
-        assert_eq!(topo.min_latency(), Some(SimTime::from_millis(7)));
-        topo.clear_override(Zone::External, Zone::Dc, id);
-        // Blackholing *every* pair leaves no deliverable link at all.
-        for from in [Zone::External, Zone::Dc, Zone::Local] {
-            for to in [Zone::External, Zone::Dc, Zone::Local] {
-                topo.set_link(from, to, LinkSpec::blackhole());
-            }
-        }
-        assert_eq!(topo.min_latency(), None);
-    }
-
-    #[test]
-    fn min_latency_zero_is_reported_not_masked() {
-        // A live zero-latency link is the lookahead-collapse case the
-        // sharded executor guards against; min_latency must report it
-        // honestly rather than rounding up.
-        let mut topo = Topology::uniform(SimTime::from_millis(1));
-        topo.set_link(Zone::Local, Zone::Local, LinkSpec::with_latency(SimTime::ZERO));
-        assert_eq!(topo.min_latency(), Some(SimTime::ZERO));
     }
 
     #[test]

@@ -39,7 +39,7 @@ pub struct TraceEvent {
     /// Node the event is attributed to, as an interned id into the
     /// engine's [`SymbolTable`] — plain `Copy` data, so recording an
     /// event never clones the name and the event stays `Send` (an
-    /// `Rc<str>` here was the old, shard-unsafe design). Resolve via
+    /// `Rc<str>` here was the old, non-`Send` design). Resolve via
     /// [`TraceEvent::render`] or `engine.names().resolve(ev.node)`.
     pub node: NameId,
     /// Event class.

@@ -97,19 +97,9 @@ struct Entry {
     deadline: u64,
     /// Global event sequence number — the tie-breaker at equal deadlines.
     seq: u64,
-    /// Cancellation-match id; lets [`TimerWheel::cancel`] reject a stale
+    /// Engine-wide timer id; lets [`TimerWheel::cancel`] reject a stale
     /// handle whose slab slot has been recycled. Unused for packets.
-    ///
-    /// Under the single-threaded engine this IS the engine-wide timer id.
-    /// The sharded executor arms timers whose node-held handle carries a
-    /// worker-provisional id (the real id did not exist yet when the
-    /// handle was returned), so the match id and the digest id diverge —
-    /// see `fire_id`.
     id: u64,
-    /// The id reported when the entry pops — what the engine folds into
-    /// its event digest. Equal to `id` except for shard-armed timers,
-    /// where it is the real globally-sequenced timer id.
-    fire_id: u64,
     /// `None` only transiently, after the entry popped and before the
     /// slot is recycled.
     item: Option<WheelItem>,
@@ -129,11 +119,6 @@ pub struct Fired {
     pub seq: u64,
     /// Engine-wide timer id (0 for packets) — the digest-visible id.
     pub id: u64,
-    /// Cancellation-match id the entry was armed with (equal to `id`
-    /// except for shard-armed timers). The shard executor needs it when
-    /// migrating still-pending entries between wheels, so the node-held
-    /// handle keeps cancelling the re-armed entry.
-    pub match_id: u64,
     /// What fired.
     pub item: WheelItem,
     /// True when a timer was cancelled before its deadline; the engine
@@ -248,24 +233,6 @@ impl TimerWheel {
     /// engine satisfies this by construction (one global counter,
     /// allocated at arm time).
     pub fn arm(&mut self, deadline: u64, seq: u64, id: u64, item: WheelItem) -> u32 {
-        self.arm_with_ids(deadline, seq, id, id, item)
-    }
-
-    /// [`TimerWheel::arm`] with the cancellation-match id (`match_id`)
-    /// and the digest-visible id (`fire_id`) specified separately. The
-    /// sharded executor arms timers whose handle was issued with a
-    /// provisional id before the real globally-sequenced id existed:
-    /// cancellation must keep matching the handle, while the pop must
-    /// report the real id so event digests stay bit-identical to the
-    /// single-threaded engine.
-    pub fn arm_with_ids(
-        &mut self,
-        deadline: u64,
-        seq: u64,
-        match_id: u64,
-        fire_id: u64,
-        item: WheelItem,
-    ) -> u32 {
         debug_assert!(seq >= self.next_min_seq, "seq must be strictly increasing");
         self.next_min_seq = seq + 1;
         if matches!(item, WheelItem::Timer { .. }) {
@@ -274,8 +241,7 @@ impl TimerWheel {
         let entry = Entry {
             deadline: deadline.max(self.now),
             seq,
-            id: match_id,
-            fire_id,
+            id,
             item: Some(item),
             next: NIL,
             cancelled: false,
@@ -364,8 +330,7 @@ impl TimerWheel {
                 Fired {
                     time: e.deadline,
                     seq: e.seq,
-                    id: e.fire_id,
-                    match_id: e.id,
+                    id: e.id,
                     item,
                     cancelled: e.cancelled,
                 }
@@ -882,29 +847,12 @@ mod tests {
     }
 
     #[test]
-    fn split_ids_cancel_by_match_id_and_fire_with_fire_id() {
-        // Shard-armed timer: the node's handle carries a provisional id
-        // (here 0x8000_0000_0000_0001) while the digest must see the real
-        // id (42). Cancellation goes by the handle id only.
-        let mut w = TimerWheel::new();
-        let prov = 0x8000_0000_0000_0001u64;
-        let slot = w.arm_with_ids(100, 0, prov, 42, titem());
-        assert!(!w.cancel(slot, 42), "fire id must not cancel");
-        let f = w.pop().expect("pending");
-        assert_eq!((f.id, f.match_id, f.cancelled), (42, prov, false));
-
-        let slot = w.arm_with_ids(200, 1, prov, 43, titem());
-        assert!(w.cancel(slot, prov), "handle id cancels");
-        let f = w.pop().expect("pending");
-        assert_eq!((f.id, f.match_id, f.cancelled), (43, prov, true));
-    }
-
-    #[test]
-    fn plain_arm_keeps_ids_equal() {
+    fn fired_entry_reports_its_armed_id() {
         let mut h = Harness::new();
+        h.arm(10);
         let (id, _) = h.arm(50);
-        let f = h.wheel.pop().expect("pending");
-        assert_eq!((f.id, f.match_id), (id, id));
+        h.wheel.pop().expect("pending");
+        assert_eq!(h.wheel.pop().map(|f| f.id), Some(id));
     }
 
     /// Randomized (but seeded, in-test-only) differential check against a

@@ -12,7 +12,7 @@
 //! |-----|--------|----------|
 //! | 1   | `rng-draw` | touching an RNG *stream* (construct, reseed, or the engine-global stream) |
 //! | 2   | `clock-read` | host wall clock (`Instant`, `SystemTime`) — never the sim clock |
-//! | 4   | `seq-alloc` | engine-global id/sequence allocation (timer ids, provenance ids) |
+//! | 4   | `seq-alloc` | engine-global id/sequence allocation (timer ids, event sequence numbers) |
 //! | 8   | `digest-fold` | folding into the engine's replay digest |
 //! | 16  | `engine-global-mut` | mutating `Engine`/`EngineCore` state directly |
 //! | 32  | `unordered-iter` | `HashMap`/`HashSet` (iteration order leaks) |
@@ -31,16 +31,16 @@
 //!
 //! Handlers (`on_packet`/`on_timer`/`on_tick`) may only cause
 //! engine-global effects through the sanctioned [`Ctx`] API — `send`,
-//! `set_timer`, `node_rng`, and friends — because the sharded executor
-//! replays exactly those calls deterministically at the epoch barrier
-//! (phase B). Any *other* route from a handler to a strict effect would
-//! run the effect on a worker thread outside the replay, so it is a
+//! `set_timer`, `node_rng`, and friends — whose effects the engine
+//! orders deterministically. Any *other* route from a handler to a
+//! strict effect (the engine-global RNG stream, a digest fold, a seq
+//! allocation) couples the handler to global replay state, so it is a
 //! violation. Concretely: BFS from every handler over the call graph
 //! with two classes of edge removed —
 //!
 //! * **sanctioned cut** — edges into the `Ctx`-API surface
 //!   (`SANCTIONED_NAMES` × `SANCTIONED_TYPES`). These are the blessed
-//!   doorways; what lies behind them is the engine's replay machinery.
+//!   doorways; what lies behind them is the engine's own machinery.
 //! * **visibility cut** — cross-crate edges into functions that are
 //!   neither `pub fn` nor trait impls. The name-based resolver
 //!   over-approximates (`vec.push(..)` fans out to every method named
@@ -132,12 +132,10 @@ const SANCTIONED_NAMES: &[&str] = &[
     "node_rng",
 ];
 
-/// Types owning the sanctioned surface. `Engine`/`EngineCore`/
-/// `ShardWorker` are included so the name-based fan-out of a
-/// `ctx.now()` call (which also matches `Engine::now`) and the `Ctx`
-/// methods' own delegation targets (`core.now()`, `exec.node_rng(..)`)
-/// are cut at the same boundary.
-const SANCTIONED_TYPES: &[&str] = &["Ctx", "ShardWorker", "EngineCore", "Engine"];
+/// Types owning the sanctioned surface. `Engine` is included so the
+/// name-based fan-out of a `ctx.now()` call (which also matches
+/// `Engine::now`) is cut at the same boundary.
+const SANCTIONED_TYPES: &[&str] = &["Ctx", "Engine"];
 
 /// One strict-grade seed site inside a function body.
 #[derive(Debug, Clone)]
@@ -430,7 +428,7 @@ fn line_seeds(rel: &str, code: &str) -> (u8, u8) {
     // seq-alloc: engine-global id allocation lives in netsim; `self.seq`
     // elsewhere (TCP sockets) is per-connection state, not an effect.
     if in_netsim
-        && ["next_timer_id", "next_prov", "self.seq", "core.seq"]
+        && ["next_timer_id", "self.seq", "core.seq"]
             .iter()
             .any(|p| code.contains(p))
     {

@@ -35,17 +35,18 @@
 //!   `SeqNum`'s wrapping helpers.
 //! * **shard-nonsend-\* / shard-taint-\*** — the shard-safety rules: no
 //!   `Rc`/`Weak`, `Cell`/`RefCell`/`UnsafeCell`, `static mut`,
-//!   `thread_local!`, or raw pointers in library code. The sharded
-//!   multi-core engine (ROADMAP #1) moves node state and queued closures
-//!   between worker threads, so every one of these is a latent data race
-//!   or a compile wall. A violation inside the hot closure upgrades from
+//!   `thread_local!`, or raw pointers in library code. Engines and nodes
+//!   stay `Send` so a whole run — node state and queued closures
+//!   included — can move to another thread, so every one of these is a
+//!   latent data race or a compile wall. A violation inside the hot
+//!   closure upgrades from
 //!   the lexical `shard-nonsend-*` rule to `shard-taint-*` with the
 //!   taint path attached.
 //! * **shard-shared-mutable-escape** — a struct implementing `Node` must
 //!   own its state: any field that can alias state owned by another node
 //!   (`Rc`/`Arc`/`Weak`/`RefCell`/`Cell`/raw pointers) is flagged, `Arc`
-//!   included — shared *ownership* across nodes breaks deterministic
-//!   epoch-barrier merging even when the type is `Send`.
+//!   included — shared *ownership* across nodes couples their state
+//!   outside the event order even when the type is `Send`.
 //! * **effect-\*** — the interprocedural effect-signature pass (see
 //!   `effects`): every function gets a signature over a seven-effect
 //!   lattice (rng-draw, clock-read, seq-alloc, digest-fold,
@@ -409,9 +410,8 @@ pub fn analyze_full(
     // mutable state. Any field of a `Node`-implementing struct whose
     // type can alias *mutable* state owned by another node is flagged —
     // including `Arc<Mutex<…>>`-style types, which are `Send` but still
-    // shared mutation, the exact bug class that breaks deterministic
-    // epoch-barrier merging between shard workers (lock-acquisition
-    // order would depend on worker interleaving). A bare `Arc` of an
+    // shared mutation: one node's handler could change another node's
+    // state outside the engine's event order. A bare `Arc` of an
     // immutable value (e.g. a shared site catalog) is permitted: aliased
     // reads merge deterministically.
     let node_types: std::collections::BTreeSet<&str> = parsed
@@ -562,9 +562,9 @@ fn check_determinism(rel: &str, lines: &[LexedLine], out: &mut Vec<Violation>) {
 
 /// shard-nonsend-*: no thread-bound constructs in library code. Unlike
 /// the determinism rules, the bench harness is *not* exempt — its
-/// sampling closures ride the engine's event queue, which shard workers
-/// drain, so an `Rc`/`RefCell` capture there is exactly as unsafe as one
-/// in the engine. Only the tidy crate itself is excluded (it spells the
+/// sampling closures ride the engine's event queue, which must stay
+/// `Send` with the engine, so an `Rc`/`RefCell` capture there is exactly
+/// as unsafe as one in the engine. Only the tidy crate itself is excluded (it spells the
 /// patterns) along with `#[cfg(test)]` code, where the compiler's `Send`
 /// bounds on `Engine::schedule`/`Node` already police the boundary.
 fn check_shard_safety(rel: &str, lines: &[LexedLine], out: &mut Vec<Violation>) {
@@ -587,7 +587,7 @@ fn check_shard_safety(rel: &str, lines: &[LexedLine], out: &mut Vec<Violation>) 
         }
         // `Cell<`/`Cell::` also match `RefCell`/`UnsafeCell`/`OnceCell`
         // by substring — one rule for the whole interior-mutability
-        // family (none of them are `Sync`-shareable across shards).
+        // family (none of them are `Sync`-shareable across threads).
         if ["Cell<", "Cell::"].iter().any(|p| l.code.contains(p)) {
             push(out, "shard-nonsend-cell", rel, l);
         }

@@ -26,9 +26,9 @@ if [[ -f results/tidy_baseline.json ]]; then
 fi
 delta=$((current - baseline))
 echo "tidy: ${current} violation(s); baseline ${baseline}; delta ${delta}"
-# Shard-safety categories get their own delta: these gate the sharded
-# multi-core engine, so a new one must be visible even when an unrelated
-# fix keeps the overall count flat.
+# Shard-safety categories get their own delta: these keep the engine and
+# its nodes `Send` (a whole run can move to another thread), so a new one
+# must be visible even when an unrelated fix keeps the overall count flat.
 shard_current=$(grep -c '"rule": "shard-' "$report" || true)
 shard_baseline=0
 if [[ -f results/tidy_baseline.json ]]; then
@@ -41,8 +41,8 @@ if (( shard_current > shard_baseline )); then
     exit 1
 fi
 # Effect-discipline categories gate the same way: a handler reaching a
-# strict effect outside the sanctioned Ctx API breaks sharded replay, so
-# a new one must fail even when the overall count stays flat.
+# strict effect outside the sanctioned Ctx API breaks deterministic
+# replay, so a new one must fail even when the overall count stays flat.
 effect_current=$(grep -c '"rule": "effect-' "$report" || true)
 effect_baseline=0
 if [[ -f results/tidy_baseline.json ]]; then
@@ -97,17 +97,16 @@ echo "==> bench_engine (smoke)"
 # Events/sec delta vs the committed BENCH_engine.json. Report-only:
 # wall-clock throughput is machine-dependent, so a delta here must never
 # gate. (Digest agreement is asserted inside the bench itself, across
-# its repeats.)
+# its repeats, as is the deterministic splice gate.)
 bench_json="$(mktemp)"
 trap 'rm -f "$report" "$bench_json"' EXIT
 ./target/release/bench_engine --smoke > "$bench_json"
 if [[ -f BENCH_engine.json ]]; then
     for name in pingpong_mesh timer_churn trace_ring full_testbed; do
-        # Last single-threaded match is the "current" block; the sharded
-        # sweep rows carry a "threads" field and are excluded here.
-        committed=$(grep "\"name\": \"$name\"" BENCH_engine.json | grep -v '"threads"' | tail -1 \
+        # Last match is the "current" block.
+        committed=$(grep "\"name\": \"$name\"" BENCH_engine.json | tail -1 \
             | grep -o '"events_per_sec": [0-9]*' | grep -o '[0-9]*' || true)
-        now=$(grep "\"name\": \"$name\"" "$bench_json" | grep -v '"threads"' | tail -1 \
+        now=$(grep "\"name\": \"$name\"" "$bench_json" | tail -1 \
             | grep -o '"events_per_sec": [0-9]*' | grep -o '[0-9]*' || true)
         if [[ -n "$committed" && -n "$now" && "$committed" -gt 0 ]]; then
             awk -v n="$name" -v c="$committed" -v x="$now" 'BEGIN {
@@ -117,43 +116,6 @@ if [[ -f BENCH_engine.json ]]; then
     done
 else
     echo "bench: no committed BENCH_engine.json — skipping delta"
-fi
-
-# Sharded scaling efficiency: events/s/worker at each thread count,
-# relative to the 1-worker row of the same scenario. Report-only — on a
-# single-core host efficiency collapses by construction; the load-bearing
-# property (sharded digest == single-threaded digest at every worker
-# count) is asserted *inside* bench_engine, which aborts on divergence.
-echo "==> sharded scaling (events/s per worker, vs 1-worker row)"
-grep '"threads":' "$bench_json" | { while read -r row; do
-    name=$(grep -o '"name": "[a-z_]*"' <<< "$row" | cut -d'"' -f4)
-    threads=$(grep -o '"threads": [0-9]*' <<< "$row" | grep -o '[0-9]*')
-    pw=$(grep -o '"events_per_sec_per_worker": [0-9]*' <<< "$row" | grep -o '[0-9]*$')
-    base=$(grep '"threads": 1,' "$bench_json" | grep "\"name\": \"$name\"" \
-        | grep -o '"events_per_sec_per_worker": [0-9]*' | grep -o '[0-9]*$' || true)
-    if [[ -n "$base" && "$base" -gt 0 ]]; then
-        awk -v n="$name" -v t="$threads" -v p="$pw" -v b="$base" 'BEGIN {
-            printf "scaling: %-14s x%-2d %12d ev/s/worker  (%5.1f%% of x1)\n",
-                   n, t, p, 100.0 * p / b }'
-    fi
-done; } || true
-
-# Splice fast path: forwarding-tier cost per data packet (raw ns/packet
-# minus the forward_direct calibration baseline), spliced vs tunneled.
-# Report-only — wall-clock — but the >=2x ratio itself is asserted inside
-# bench_engine's full mode.
-echo "==> splice fast path (forwarding-tier ns/packet)"
-tun=$(grep '"name": "forward_tunneled"' "$bench_json" \
-    | grep -o '"fwd_overhead_ns_per_packet": [0-9.]*' | grep -o '[0-9.]*$' || true)
-spl=$(grep '"name": "forward_spliced"' "$bench_json" \
-    | grep -o '"fwd_overhead_ns_per_packet": [0-9.]*' | grep -o '[0-9.]*$' || true)
-if [[ -n "$tun" && -n "$spl" ]]; then
-    awk -v t="$tun" -v s="$spl" 'BEGIN {
-        r = (s > 0) ? t / s : 0
-        printf "splice: tunneled %8.1f ns/packet  spliced %8.1f ns/packet  (%.2fx win, %.1f ns saved/packet)\n",
-               t, s, r, t - s }'
-else
-    echo "splice: no forward_* rows in smoke report — skipping delta"
 fi
 
 echo "==> store brownout availability delta"

@@ -5,7 +5,7 @@
 //! quarantine, and degraded-mode instances with a bounded write-behind
 //! buffer — must keep new connections succeeding (≥ 99%) with bounded
 //! tail latency, drain the buffer after the heal, and do all of it
-//! bit-for-bit reproducibly at any worker count.
+//! bit-for-bit reproducibly.
 //!
 //! The testbed uses a deliberately modest store tier (8 ms/op instead of
 //! the stock 50 µs) so the 10× brownout saturates it and ops queue past
@@ -54,7 +54,7 @@ impl BrownoutPrint {
 
 /// Runs the brownout scenario and returns its fingerprint plus the p99
 /// request latency in ms.
-fn brownout_run(threads: usize) -> (BrownoutPrint, f64) {
+fn brownout_run() -> (BrownoutPrint, f64) {
     let mut tb = Testbed::build(TestbedConfig {
         seed: 0xB0B0,
         num_instances: 3,
@@ -63,7 +63,6 @@ fn brownout_run(threads: usize) -> (BrownoutPrint, f64) {
         num_backends: 6,
         num_services: 2,
         pages_per_site: 12,
-        threads,
         store: StoreServerConfig {
             per_op_service: SimTime::from_millis(8),
             ..StoreServerConfig::default()
@@ -158,7 +157,7 @@ fn brownout_run(threads: usize) -> (BrownoutPrint, f64) {
 /// write-behind buffer fully drained after the heal.
 #[test]
 fn all_stores_10x_slow_keeps_serving() {
-    let (print, p99_ms) = brownout_run(0);
+    let (print, p99_ms) = brownout_run();
     assert!(
         print.success() >= 0.99,
         "new-connection success {:.4} < 0.99\n{print:#?}",
@@ -187,27 +186,11 @@ fn all_stores_10x_slow_keeps_serving() {
 /// per-node streams — nothing wall-clock ever leaks in.)
 #[test]
 fn brownout_run_is_byte_identical() {
-    let (a, _) = brownout_run(0);
-    let (b, _) = brownout_run(0);
+    let (a, _) = brownout_run();
+    let (b, _) = brownout_run();
     assert!(
         a.store_timeouts > 0 && a.store_retries > 0,
         "determinism run never exercised the retry path\n{a:#?}"
     );
     assert_eq!(a, b, "brownout run diverged across identical replays");
-}
-
-/// The brownout replays identically under the sharded executor at 1, 2,
-/// and 4 workers: backoff timers, hedge timers, and degraded-mode entry
-/// all happen in virtual time on per-node state, so worker count cannot
-/// reorder their effects.
-#[test]
-fn brownout_identical_at_1_2_4_workers() {
-    let (reference, _) = brownout_run(0);
-    for threads in [1, 2, 4] {
-        let (print, _) = brownout_run(threads);
-        assert_eq!(
-            print, reference,
-            "brownout run diverged at {threads} workers"
-        );
-    }
 }

@@ -10,10 +10,7 @@
 //! A failing seed prints its full plan; rerun just that seed with e.g.
 //! `CHAOS_SEED=13 cargo test --release --test chaos_matrix one_seed`.
 //! Seed counts scale up via `CHAOS_SURVIVABLE_SEEDS` /
-//! `CHAOS_UNCONSTRAINED_SEEDS` for longer local or CI soak runs, and
-//! `CHAOS_THREADS=N` runs every replay under the sharded executor at
-//! `N` workers — per-node RNG streams make the digests identical to the
-//! single-threaded run, so CI exercises both executors with one matrix.
+//! `CHAOS_UNCONSTRAINED_SEEDS` for longer local or CI soak runs.
 
 use yoda::chaos::{run_plan, run_seed, ChaosPlan, ChaosScenario, Fault, FaultKind};
 use yoda::netsim::SimTime;
@@ -23,11 +20,6 @@ fn env_u64(name: &str, default: u64) -> u64 {
         .ok()
         .and_then(|s| s.parse().ok())
         .unwrap_or(default)
-}
-
-/// Worker-count override for the whole matrix (0 = single-threaded).
-fn threads() -> usize {
-    env_u64("CHAOS_THREADS", 0) as usize
 }
 
 fn assert_seed_ok(seed: u64, sc: &ChaosScenario) {
@@ -43,8 +35,7 @@ fn assert_seed_ok(seed: u64, sc: &ChaosScenario) {
 #[test]
 fn survivable_seeds_keep_every_flow_alive() {
     let n = env_u64("CHAOS_SURVIVABLE_SEEDS", 20);
-    let mut sc = ChaosScenario::survivable();
-    sc.threads = threads();
+    let sc = ChaosScenario::survivable();
     for seed in 0..n {
         assert_seed_ok(seed, &sc);
     }
@@ -53,8 +44,7 @@ fn survivable_seeds_keep_every_flow_alive() {
 #[test]
 fn unconstrained_seeds_degrade_gracefully() {
     let n = env_u64("CHAOS_UNCONSTRAINED_SEEDS", 5);
-    let mut sc = ChaosScenario::unconstrained();
-    sc.threads = threads();
+    let sc = ChaosScenario::unconstrained();
     // Disjoint seed range from the survivable matrix, so the two tests
     // never mistake one another's plans.
     for seed in 1000..1000 + n {
@@ -72,12 +62,11 @@ fn one_seed() {
     let Ok(seed) = seed.parse::<u64>() else {
         panic!("CHAOS_SEED must be an integer");
     };
-    let mut sc = if std::env::var("CHAOS_UNCONSTRAINED").is_ok() {
+    let sc = if std::env::var("CHAOS_UNCONSTRAINED").is_ok() {
         ChaosScenario::unconstrained()
     } else {
         ChaosScenario::survivable()
     };
-    sc.threads = threads();
     let report = run_seed(seed, &sc);
     println!("{}", report.render());
     assert!(report.ok(), "seed {seed} failed\n{}", report.render());
@@ -90,7 +79,6 @@ fn one_seed() {
 fn assert_splice_survives(kind: FaultKind) {
     let mut sc = ChaosScenario::survivable();
     sc.splice = true;
-    sc.threads = threads();
     let plan = ChaosPlan {
         seed: 0,
         survivable: true,
@@ -141,7 +129,6 @@ fn survivable_seeds_hold_with_splicing() {
     let n = env_u64("CHAOS_SPLICE_SEEDS", 5);
     let mut sc = ChaosScenario::survivable();
     sc.splice = true;
-    sc.threads = threads();
     for seed in 500..500 + n {
         assert_seed_ok(seed, &sc);
     }
@@ -157,8 +144,7 @@ fn survivable_seeds_hold_with_splicing() {
 #[test]
 fn gray_fault_seeds_keep_every_flow_alive() {
     let n = env_u64("CHAOS_GRAY_SEEDS", 20);
-    let mut sc = ChaosScenario::survivable();
-    sc.threads = threads();
+    let sc = ChaosScenario::survivable();
     let is_gray = |k: FaultKind| {
         matches!(
             k,

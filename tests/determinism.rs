@@ -82,6 +82,75 @@ fn different_seed_different_event_trace() {
     assert_ne!(a.0, b.0, "digest failed to distinguish different seeds");
 }
 
+/// Runs the default testbed with browsers on every service for `2 * HALF`
+/// of traffic. With `move_midway`, the second half runs on a spawned
+/// thread that takes ownership of the whole `Testbed`. Returns the event
+/// digest and every browser's counters.
+fn default_testbed_run(move_midway: bool) -> (u64, Vec<[u64; 6]>) {
+    const HALF: SimTime = SimTime::from_secs(4);
+    let mut tb = Testbed::build(TestbedConfig {
+        seed: 0x7E57,
+        ..TestbedConfig::default()
+    });
+    tb.run_for(SimTime::from_secs(1));
+    let browsers: Vec<_> = (0..tb.vips.len())
+        .map(|s| {
+            tb.add_browser(
+                s,
+                BrowserConfig {
+                    processes: 2,
+                    ..BrowserConfig::default()
+                },
+            )
+        })
+        .collect();
+    tb.run_for(HALF);
+    let tb = if move_midway {
+        std::thread::spawn(move || {
+            tb.run_for(HALF);
+            tb
+        })
+        .join()
+        .expect("testbed thread panicked")
+    } else {
+        tb.run_for(HALF);
+        tb
+    };
+    let counters = browsers
+        .iter()
+        .map(|&b| {
+            let c = tb.engine.node_ref::<BrowserClient>(b);
+            [
+                c.completed,
+                c.pages_completed,
+                c.started_fetches,
+                c.timeouts,
+                c.resets,
+                c.broken_flows,
+            ]
+        })
+        .collect();
+    (tb.engine.event_digest(), counters)
+}
+
+/// An engine really moves across threads: a default testbed that finishes
+/// its run on a spawned thread ends bit-identical to one that never
+/// moved. (`Engine: Send` is a compile-time witness in
+/// `send_sync_assertions.rs`; this is the runtime half.)
+#[test]
+fn testbed_moved_to_another_thread_midway_is_identical() {
+    let (digest, counters) = default_testbed_run(false);
+    assert!(
+        counters.iter().all(|c| c[0] > 0),
+        "every browser must complete fetches for the comparison to mean anything: {counters:?}"
+    );
+    assert_eq!(
+        default_testbed_run(true),
+        (digest, counters),
+        "moving the testbed to another thread changed the run"
+    );
+}
+
 // ---------------------------------------------------------------------------
 // Golden digest: pins the engine's event sequence across refactors
 // ---------------------------------------------------------------------------

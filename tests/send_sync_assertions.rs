@@ -1,9 +1,9 @@
-//! Compile-time shard-safety witnesses.
+//! Compile-time `Send` witnesses.
 //!
-//! The sharded multi-core engine (ROADMAP #1) moves the engine core,
-//! queued control closures, and per-node state between worker threads at
-//! epoch barriers. That is only sound if those types are `Send`, and the
-//! property must not be able to regress silently: `yoda-tidy`'s
+//! A whole run — the engine core, queued control closures, and per-node
+//! state — can move to another thread (`std::thread::spawn` a testbed
+//! and finish it there). That is only sound if those types are `Send`,
+//! and the property must not be able to regress silently: `yoda-tidy`'s
 //! shard-safety rules catch the constructs lexically, and these witnesses
 //! make the final composed guarantee a compile error to break — adding an
 //! `Rc` field anywhere inside `Engine` or a node type fails `cargo test`
@@ -18,7 +18,6 @@ use yoda::core::{Controller, YodaInstance};
 use yoda::http::{BrowserClient, OriginServer, RateClient};
 use yoda::l4lb::{EdgeRouter, Mux};
 use yoda::netsim::addrmap::AddrMap;
-use yoda::netsim::shard::{EpochBarrier, ShardMailbox, ShardWorker};
 use yoda::netsim::wheel::TimerWheel;
 use yoda::netsim::{Engine, NameId, Node, SymbolTable, TraceEvent, TraceSink};
 use yoda::proxy::ProxyInstance;
@@ -29,7 +28,7 @@ fn assert_sync<T: Sync>() {}
 
 /// The engine itself — event queue, timer wheel, address map, trace sink,
 /// symbol table, node slots, and every queued control closure — must be
-/// able to move onto a shard worker thread whole.
+/// able to move onto another thread whole.
 #[test]
 fn engine_and_internals_are_send() {
     assert_send::<Engine>();
@@ -39,9 +38,8 @@ fn engine_and_internals_are_send() {
     assert_send::<SymbolTable>();
 }
 
-/// Trace events cross epoch barriers between workers when shards merge
-/// their timelines; the interned name id is plain data, so the whole
-/// event is both `Send` and `Sync`.
+/// Trace events travel with the engine's trace sink; the interned name
+/// id is plain data, so the whole event is both `Send` and `Sync`.
 #[test]
 fn trace_events_are_send_and_sync() {
     assert_send::<TraceEvent>();
@@ -59,24 +57,9 @@ fn boxed_nodes_are_send() {
     assert_send::<Box<dyn Node>>();
 }
 
-/// The sharded executor's own moving parts. A `ShardWorker` (nodes,
-/// timer wheels, per-node RNG streams, effect log) is handed to a
-/// spawned scope thread, so it must be `Send`; the mailbox additionally
-/// crosses back to the coordinator for replay. The `EpochBarrier` is
-/// *shared* by reference between the coordinator and every worker
-/// simultaneously, so it needs the stronger `Sync`.
-#[test]
-fn shard_executor_types_are_send_and_sync() {
-    assert_send::<ShardWorker>();
-    assert_send::<ShardMailbox>();
-    assert_sync::<EpochBarrier>();
-    assert_send::<EpochBarrier>();
-}
-
 /// Every product node type: the paper's data plane (edge router, mux,
 /// L7 instances, backends) and control plane (controller, TCPStore,
-/// chaos witness). These are the states a shard worker owns and the
-/// epoch barrier migrates.
+/// chaos witness). These are the states that move with the engine.
 #[test]
 fn per_node_state_types_are_send() {
     assert_send::<EdgeRouter>();
