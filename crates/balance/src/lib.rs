@@ -39,4 +39,4 @@ pub mod prober;
 pub use picker::{HotCold, LeastLoaded, PickInput, Picker, Signal, StickyHash, WeightedSplit};
 pub use pool::{PoolConfig, PoolEntry, ProbePool};
 pub use probe::{ProbeReply, ProbeRequest, PROBE_PORT};
-pub use prober::{ProbeConfig, Prober};
+pub use prober::{Prober, PROBE_TIMEOUT};

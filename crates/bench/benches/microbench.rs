@@ -18,7 +18,7 @@
 use std::hint::black_box;
 use std::time::Instant;
 
-use yoda_assign::{solve_greedy, AssignInput, GreedyConfig, VipSpec};
+use yoda_assign::{solve_greedy, AssignInput, VipSpec};
 use yoda_core::flowstate::FlowRecord;
 use yoda_core::rules::{Rule, RuleTable, SelectCtx};
 use yoda_http::HttpRequest;
@@ -139,7 +139,7 @@ fn bench_assign() {
         previous: None,
     };
     bench("assign_greedy_110_vips", || {
-        black_box(solve_greedy(&input.clone(), &GreedyConfig::default()));
+        let _ = black_box(solve_greedy(&input.clone(), None));
     });
     let small = AssignInput {
         vips: (0..4)

@@ -13,11 +13,12 @@
 //! K=3 costs more store CPU for no extra benefit at this failure scale.
 
 use yoda_bench::report::{f2, print_header, print_kv, Table};
+use yoda_bench::Cli;
 use yoda_core::testbed::{Testbed, TestbedConfig};
 use yoda_core::{YodaConfig, YodaInstance};
 use yoda_http::{BrowserClient, BrowserConfig};
 use yoda_netsim::SimTime;
-use yoda_tcpstore::{StoreClientConfig, StoreServer, StoreServerConfig};
+use yoda_tcpstore::{StoreServer, StoreServerConfig};
 
 struct Outcome {
     completed: u64,
@@ -45,15 +46,11 @@ fn run(
         pages_per_site: 15,
         yoda: YodaConfig {
             optimistic_synack: optimistic,
-            store: StoreClientConfig {
-                replicas,
-                ..StoreClientConfig::default()
-            },
+            store_replicas: replicas,
             ..YodaConfig::default()
         },
         store: StoreServerConfig {
             per_op_service: SimTime::from_micros(store_op_us),
-            ..StoreServerConfig::default()
         },
         ..TestbedConfig::default()
     });
@@ -122,6 +119,8 @@ fn run(
 }
 
 fn main() {
+    // No options: any argument is a mistake.
+    Cli::parse("ablation", &[]);
     print_header("Ablation A", "storage-before-SYN-ACK vs optimistic SYN-ACK");
     // With the paper's fast store the storage-a round trip is ~0.6 ms, so
     // the unsafe window of optimistic mode is nearly unhittable — i.e.

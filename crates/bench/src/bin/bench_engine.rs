@@ -38,17 +38,19 @@
 //!
 //! `--only` restricts the run to one scenario (exact name) — for
 //! profiling a single hot path without the others polluting the samples.
-//! `--help` prints the usage line; any other argument exits with status 2.
+//! `--help` prints the usage line; an unknown argument or a missing value
+//! exits with status 2 (see `yoda_bench::cli`).
 
 use std::fmt::Write as _;
 use std::time::Instant;
 
 use bytes::Bytes;
+use yoda_bench::{Arg, Cli};
 use yoda_core::instance::{YodaConfig, YodaInstance};
 use yoda_core::testbed::{Testbed, TestbedConfig};
 use yoda_http::{BrowserClient, BrowserConfig, OriginServer};
 use yoda_l4lb::{rendezvous_pick, Mux};
-use yoda_tcp::{Flags, Segment, SeqNum};
+use yoda_tcp::{Flags, Segment, SeqNum, MSS};
 use yoda_netsim::{
     Addr, Ctx, Endpoint, Engine, Node, Packet, SimTime, TimerToken, Topology, Zone, PROTO_PING,
 };
@@ -360,7 +362,7 @@ fn splice_run(name: &'static str, splice: bool, repeats: u32, duration: SimTime)
             .map(|&m| tb.engine.node_ref::<Mux>(m).spliced)
             .sum::<u64>()
             - spliced0;
-        let mss = tb.yoda_cfg.mss as u64;
+        let mss = MSS as u64;
         // Steady-state data packets: one request segment per completed
         // request plus the MSS-chunked response stream. Identical
         // formula in both legs, so the ns/packet ratio is meaningful.
@@ -851,60 +853,20 @@ fn extract_baseline(text: &str) -> Option<String> {
     None
 }
 
-const USAGE: &str = "usage: bench_engine [--smoke] [--only SCENARIO] [--update BENCH_engine.json]";
-
-/// Parsed command line.
-struct Args {
-    smoke: bool,
-    only: Option<String>,
-    update: Option<String>,
-}
-
-/// Parses the command line. `--help` prints the usage and exits 0; an
-/// unknown argument or a missing value exits 2, so a stale invocation
-/// fails loudly instead of running the whole bench.
-fn parse_args() -> Args {
-    let mut args = Args {
-        smoke: false,
-        only: None,
-        update: None,
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(arg) = it.next() {
-        let slot = match arg.as_str() {
-            "--smoke" => {
-                args.smoke = true;
-                continue;
-            }
-            "--help" => {
-                println!("{USAGE}");
-                std::process::exit(0);
-            }
-            "--only" => &mut args.only,
-            "--update" => &mut args.update,
-            _ => {
-                eprintln!("bench_engine: unknown argument `{arg}`\n{USAGE}");
-                std::process::exit(2);
-            }
-        };
-        match it.next() {
-            Some(value) => *slot = Some(value),
-            None => {
-                eprintln!("bench_engine: `{arg}` needs a value\n{USAGE}");
-                std::process::exit(2);
-            }
-        }
-    }
-    args
-}
-
 fn main() {
-    let args = parse_args();
-    let smoke = args.smoke;
+    let cli = Cli::parse(
+        "bench_engine",
+        &[
+            ("smoke", Arg::Flag),
+            ("only", Arg::Str),
+            ("update", Arg::Str),
+        ],
+    );
+    let smoke = cli.flag("smoke");
     let (repeats, secs) = if smoke { (1, 1) } else { (3, 4) };
     let duration = SimTime::from_secs(secs);
 
-    let wanted = |name: &str| args.only.as_deref().is_none_or(|o| o == name);
+    let wanted = |name: &str| cli.str("only").is_none_or(|o| o == name);
     let mut results = Vec::new();
     if wanted("pingpong_mesh") {
         results.push(measure("pingpong_mesh", repeats, duration, || {
@@ -1003,9 +965,8 @@ fn main() {
     let mode = if smoke { "smoke" } else { "full" };
     let current = json_block(mode, &results);
     let splice_block = json_splice_block(mode, &splice_rows);
-    let baseline = args
-        .update
-        .as_deref()
+    let baseline = cli
+        .str("update")
         .and_then(|path| std::fs::read_to_string(path).ok())
         .and_then(|text| extract_baseline(&text))
         .unwrap_or_else(|| current.clone());
@@ -1013,9 +974,9 @@ fn main() {
     let report = format!(
         "{{\n  \"bench\": \"bench_engine\",\n  \"schema\": 5,\n  \"baseline\":\n{baseline},\n  \"current\":\n{current},\n  \"splice\":\n{splice_block}\n}}\n"
     );
-    match args.update {
+    match cli.str("update") {
         Some(path) => {
-            std::fs::write(&path, &report).expect("write bench report");
+            std::fs::write(path, &report).expect("write bench report");
             eprintln!("wrote {path}");
         }
         None => print!("{report}"),

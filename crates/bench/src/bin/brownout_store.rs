@@ -16,7 +16,7 @@
 
 use yoda_bench::report::{f2, print_header, print_kv, pct};
 use yoda_bench::storestats::StoreStatsSummary;
-use yoda_bench::{arg_f64, arg_usize};
+use yoda_bench::{Arg, Cli};
 use yoda_core::instance::YodaInstance;
 use yoda_core::testbed::{Testbed, TestbedConfig};
 use yoda_http::{BrowserClient, BrowserConfig};
@@ -65,7 +65,6 @@ fn run(factor: f64, browse_secs: u64) -> Out {
         num_services: 2,
         store: StoreServerConfig {
             per_op_service: SimTime::from_millis(8),
-            ..StoreServerConfig::default()
         },
         ..TestbedConfig::default()
     });
@@ -128,12 +127,16 @@ fn run(factor: f64, browse_secs: u64) -> Out {
 }
 
 fn main() {
+    let cli = Cli::parse(
+        "brownout_store",
+        &[("factor", Arg::F64), ("secs", Arg::Usize)],
+    );
     print_header(
         "Store brownout",
         "gray failure of the whole store tier: hedged ops + degraded-mode instances",
     );
-    let factor = arg_f64("factor", 10.0);
-    let secs = arg_usize("secs", 30) as u64;
+    let factor = cli.f64("factor", 10.0);
+    let secs = cli.usize("secs", 30) as u64;
     print_kv("slowdown factor (all stores)", factor);
     print_kv("run length (sim s)", secs);
 

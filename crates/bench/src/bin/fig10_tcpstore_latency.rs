@@ -12,13 +12,11 @@ use std::collections::HashMap;
 
 use bytes::Bytes;
 use yoda_bench::report::{f2, print_header, print_kv, Table};
-use yoda_bench::arg_usize;
+use yoda_bench::{Arg, Cli};
 use yoda_netsim::{
     Addr, Ctx, Endpoint, Engine, Node, NodeId, Packet, SimTime, TimerToken, Topology, Zone,
 };
-use yoda_tcpstore::{
-    StoreClient, StoreClientConfig, StoreEvent, StoreOp, StoreServer, StoreServerConfig,
-};
+use yoda_tcpstore::{StoreClient, StoreEvent, StoreOp, StoreServer, StoreServerConfig};
 
 const TICK: u32 = 0xA1;
 
@@ -103,16 +101,12 @@ fn run(ops_per_server: f64, replicas: usize, num_servers: usize, secs: u64) -> R
     for d in 0..drivers {
         let addr = Addr::new(10, 0, 6, d + 1);
         let me = Endpoint::new(addr, 7000);
-        let cfg = StoreClientConfig {
-            replicas,
-            ..StoreClientConfig::default()
-        };
         driver_ids.push(eng.add_node(
             format!("driver-{d}"),
             addr,
             Zone::Dc,
             Box::new(Driver {
-                client: StoreClient::new(cfg, me, &servers),
+                client: StoreClient::new(replicas, me, &servers),
                 rate_per_sec: total_rate / drivers as f64,
                 duration,
                 started: SimTime::ZERO,
@@ -157,12 +151,16 @@ fn run(ops_per_server: f64, replicas: usize, num_servers: usize, secs: u64) -> R
 }
 
 fn main() {
+    let cli = Cli::parse(
+        "fig10_tcpstore_latency",
+        &[("servers", Arg::Usize), ("secs", Arg::Usize)],
+    );
     print_header(
         "Figure 10 & 11",
         "TCPStore latency and CPU: default Memcached (K=1) vs persistent (K=2)",
     );
-    let servers = arg_usize("servers", 4);
-    let secs = arg_usize("secs", 3) as u64;
+    let servers = cli.usize("servers", 4);
+    let secs = cli.usize("secs", 3) as u64;
     print_kv("store servers", servers);
     print_kv("duration per point (sim s)", secs);
     let mut lat_table = Table::new(&[

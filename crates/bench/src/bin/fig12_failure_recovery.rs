@@ -17,17 +17,27 @@
 //! instance), retransmit at +600 ms reaching a live instance, recovery.
 
 use yoda_bench::report::{f2, pct, print_header, print_kv, Table};
-use yoda_bench::{arg_flag, arg_usize, run_failover, FailoverSetup, LbKind};
+use yoda_bench::{run_failover, Arg, Cli, FailoverSetup, LbKind};
 use yoda_netsim::SimTime;
 
 fn main() {
+    let cli = Cli::parse(
+        "fig12_failure_recovery",
+        &[
+            ("browsers", Arg::Usize),
+            ("processes", Arg::Usize),
+            ("pages", Arg::Usize),
+            ("timeline", Arg::Flag),
+        ],
+    );
     print_header(
         "Figure 12",
         "End-to-end request latency under 2/10 LB instance failures",
     );
-    let browsers = arg_usize("browsers", 4);
-    let processes = arg_usize("processes", 20);
-    let pages = arg_usize("pages", 3) as u64;
+    let browsers = cli.usize("browsers", 4);
+    let processes = cli.usize("processes", 20);
+    let pages = cli.usize("pages", 3) as u64;
+    let timeline = cli.flag("timeline");
     // Long transfers (the largest ~442 KB object), failed mid-flight:
     // this reproduces the paper's "breaking a single established
     // connection" condition, under which 2/10 dead instances strand
@@ -66,7 +76,7 @@ fn main() {
         let mut out = run_failover(&FailoverSetup {
             lb,
             retries,
-            timeline: arg_flag("timeline") && lb == LbKind::Yoda && retries == 0,
+            timeline: timeline && lb == LbKind::Yoda && retries == 0,
             ..base.clone()
         });
         table.row(&[
@@ -124,7 +134,7 @@ fn main() {
     }
     cdf_table.print();
 
-    if arg_flag("timeline") {
+    if timeline {
         println!();
         println!("(b) packet timeline at the backend around the failure (Yoda-noretry):");
         let (_, yoda) = &cdf_sets[0];

@@ -12,16 +12,17 @@
 //! it completes in seconds; pass `--scale 1` for full scale.
 
 use yoda_bench::report::{f1, print_header, print_kv, Table};
-use yoda_bench::{arg_f64, TimeSeries};
-use yoda_core::controller::{AutoscaleConfig, ControllerConfig};
+use yoda_bench::{Arg, Cli, TimeSeries};
+use yoda_core::controller::AutoscaleConfig;
 use yoda_core::testbed::{Testbed, TestbedConfig};
 use yoda_core::{YodaConfig, YodaInstance};
 use yoda_http::{RateClient as HttpRateClient, RateClientConfig};
 use yoda_netsim::SimTime;
 
 fn main() {
+    let cli = Cli::parse("fig13_scalability", &[("scale", Arg::F64)]);
     print_header("Figure 13", "Scalability: autoscaler adds instances under load");
-    let scale = arg_f64("scale", 0.1);
+    let scale = cli.f64("scale", 0.1);
     let base_rate = 5_000.0 * scale; // per-instance offered load, phase 1
     let cpu_scale = 1.0 / scale;
     print_kv("scale factor", scale);
@@ -40,13 +41,10 @@ fn main() {
         num_services: 1,
         num_backends: 12,
         yoda,
-        controller: ControllerConfig {
-            autoscale: Some(AutoscaleConfig {
-                high_cpu: 0.70,
-                target_cpu: 0.55,
-            }),
-            ..ControllerConfig::default()
-        },
+        autoscale: Some(AutoscaleConfig {
+            high_cpu: 0.70,
+            target_cpu: 0.55,
+        }),
         ..TestbedConfig::default()
     });
     // ~10 KB objects, as in the paper's Apache-bench runs (and matching

@@ -10,14 +10,15 @@
 //! apply new policies to new connections").
 
 use yoda_bench::report::{pct, print_header, print_kv, Table};
-use yoda_bench::{arg_f64, TimeSeries};
+use yoda_bench::{Arg, Cli, TimeSeries};
 use yoda_core::testbed::{Testbed, TestbedConfig};
 use yoda_http::{OriginServer, RateClient, RateClientConfig};
 use yoda_netsim::SimTime;
 
 fn main() {
+    let cli = Cli::parse("fig14_policy_update", &[("rate", Arg::F64)]);
     print_header("Figure 14", "User policy update without breaking flows");
-    let rate = arg_f64("rate", 800.0);
+    let rate = cli.f64("rate", 800.0);
     let mut tb = Testbed::build(TestbedConfig {
         seed: 14,
         num_instances: 4,

@@ -7,15 +7,16 @@
 //! relative to Yoda-as-a-service (which bills average usage).
 
 use yoda_bench::report::{f2, print_header, print_kv, Table};
-use yoda_bench::arg_usize;
+use yoda_bench::{Arg, Cli};
 use yoda_trace::{Trace, TraceConfig};
 
 fn main() {
+    let cli = Cli::parse("fig15_cost_reduction", &[("vips", Arg::Usize)]);
     print_header(
         "Figure 15",
         "Max-to-average traffic ratio for all VIPs (24h production-style trace)",
     );
-    let num_vips = arg_usize("vips", 110);
+    let num_vips = cli.usize("vips", 110);
     let trace = Trace::generate(&TraceConfig {
         num_vips,
         ..TraceConfig::default()

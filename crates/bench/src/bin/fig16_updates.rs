@@ -17,9 +17,9 @@
 use std::time::Instant;
 
 use yoda_assign::model::transition_stats;
-use yoda_assign::{all_to_all, solve_greedy, Assignment, GreedyConfig};
+use yoda_assign::{all_to_all, solve_greedy, Assignment};
 use yoda_bench::report::{f2, pct, print_header, print_kv, Table};
-use yoda_bench::arg_usize;
+use yoda_bench::{Arg, Cli};
 use yoda_netsim::Histogram;
 use yoda_trace::{assign_input_for_bin, AssignParams, Trace, TraceConfig};
 
@@ -57,9 +57,13 @@ fn median_nonzero(values: &[u64]) -> f64 {
 }
 
 fn main() {
+    let cli = Cli::parse(
+        "fig16_updates",
+        &[("bins", Arg::Usize), ("vips", Arg::Usize)],
+    );
     print_header("Figure 16", "VIP assignment update study (24h trace, 10-min rounds)");
-    let bins = arg_usize("bins", 144);
-    let num_vips = arg_usize("vips", 110);
+    let bins = cli.usize("bins", 144);
+    let num_vips = cli.usize("vips", 110);
     let trace = Trace::generate(&TraceConfig {
         num_vips,
         bins,
@@ -88,14 +92,11 @@ fn main() {
                 migration_limit: delta,
                 ..base
             };
-            let greedy_cfg = GreedyConfig {
-                // No-limit: nothing anchors the optimizer round-to-round.
-                shuffle_seed: delta.is_none().then_some(bin as u64),
-                ..GreedyConfig::default()
-            };
+            // No-limit: nothing anchors the optimizer round-to-round.
+            let shuffle_seed = delta.is_none().then_some(bin as u64);
             let input = assign_input_for_bin(&trace, bin, &params, scheme.prev.clone());
             let t0 = Instant::now();
-            let out = solve_greedy(&input, &greedy_cfg).expect("feasible assignment");
+            let out = solve_greedy(&input, shuffle_seed).expect("feasible assignment");
             scheme.solve_ms.record(t0.elapsed().as_secs_f64() * 1000.0);
             let used = out.assignment.num_instances();
             scheme.instances.record(used as f64);

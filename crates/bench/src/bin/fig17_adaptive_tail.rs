@@ -24,9 +24,8 @@
 
 use std::collections::BTreeMap;
 
-use yoda_balance::ProbeConfig;
 use yoda_bench::report::{f2, print_header, print_kv, Table};
-use yoda_bench::{arg_f64, arg_flag, arg_usize, TimeSeries};
+use yoda_bench::{Arg, Cli, TimeSeries};
 use yoda_core::testbed::{Testbed, TestbedConfig};
 use yoda_core::{YodaConfig, YodaInstance};
 use yoda_http::{OriginServer, RateClient, RateClientConfig};
@@ -64,7 +63,13 @@ fn policy_rules(name: &str, tb: &Testbed) -> String {
     }
 }
 
-fn run_one(policy: &str, scenario: &AdaptiveScenario, load: BurstyLoad, run: SimTime) -> RunOutcome {
+fn run_one(
+    policy: &str,
+    scenario: &AdaptiveScenario,
+    load: BurstyLoad,
+    run: SimTime,
+    probestats: bool,
+) -> RunOutcome {
     let mut tb = Testbed::build(TestbedConfig {
         seed: 17,
         num_instances: 4,
@@ -77,10 +82,7 @@ fn run_one(policy: &str, scenario: &AdaptiveScenario, load: BurstyLoad, run: Sim
             // Probe fast enough that the reuse-bounded pool keeps up
             // with ~1 050 picks/s per instance at burst peaks
             // (500 ticks/s × d=3 × max_uses=2 = 3 000 uses/s).
-            probe: ProbeConfig {
-                period: SimTime::from_millis(2),
-                ..ProbeConfig::default()
-            },
+            probe_period: SimTime::from_millis(2),
             ..YodaConfig::default()
         },
         ..TestbedConfig::default()
@@ -168,7 +170,7 @@ fn run_one(policy: &str, scenario: &AdaptiveScenario, load: BurstyLoad, run: Sim
 
     tb.engine.run_for(start + run + SimTime::from_secs(4));
 
-    if arg_flag("probestats") {
+    if probestats {
         for &id in &tb.instances {
             let inst = tb.engine.node_ref::<YodaInstance>(id);
             let p = inst.prober();
@@ -213,15 +215,25 @@ fn run_one(policy: &str, scenario: &AdaptiveScenario, load: BurstyLoad, run: Sim
 }
 
 fn main() {
+    let cli = Cli::parse(
+        "fig17_adaptive_tail",
+        &[
+            ("secs", Arg::Usize),
+            ("slow", Arg::F64),
+            ("base", Arg::F64),
+            ("burst", Arg::F64),
+            ("probestats", Arg::Flag),
+        ],
+    );
     print_header(
         "Figure 17 (beyond the paper)",
         "Adaptive backend selection: tail latency under heterogeneous backends",
     );
-    let run = SimTime::from_secs(arg_usize("secs", 20) as u64);
-    let slow_factor = arg_f64("slow", 5.0);
+    let run = SimTime::from_secs(cli.usize("secs", 20) as u64);
+    let slow_factor = cli.f64("slow", 5.0);
     let load = BurstyLoad {
-        base_rps: arg_f64("base", 2_400.0),
-        burst_rps: arg_f64("burst", 4_200.0),
+        base_rps: cli.f64("base", 2_400.0),
+        burst_rps: cli.f64("burst", 4_200.0),
         period: SimTime::from_secs(4),
         duty: 0.3,
     };
@@ -266,7 +278,7 @@ fn main() {
             "rif imbalance",
         ]);
         for policy in policies {
-            let out = run_one(policy, scenario, load, run);
+            let out = run_one(policy, scenario, load, run, cli.flag("probestats"));
             table.row(&[
                 policy.to_string(),
                 f2(out.p50),

@@ -21,7 +21,7 @@ use std::time::Instant;
 
 use yoda_netsim::rng::Rng;
 use yoda_bench::report::{f2, print_header, print_kv, Table};
-use yoda_bench::{arg_usize, report};
+use yoda_bench::{report, Arg, Cli};
 use yoda_core::rules::{Rule, RuleTable, SelectCtx};
 use yoda_http::HttpRequest;
 use yoda_netsim::Histogram;
@@ -40,8 +40,9 @@ fn build_table(n: usize) -> RuleTable {
 }
 
 fn main() {
+    let cli = Cli::parse("fig6_rule_latency", &[("lookups", Arg::Usize)]);
     print_header("Figure 6", "Look-up latency vs rules per instance");
-    let lookups = arg_usize("lookups", 20_000);
+    let lookups = cli.usize("lookups", 20_000);
     // Fixed per-connection processing charged alongside the scan — the
     // same calibrated constant the simulated Yoda instance uses (§7.1).
     let fixed_us = yoda_core::YodaConfig::default().per_conn_cpu.as_micros() as f64;

@@ -13,10 +13,10 @@
 //! instance's own histograms — the same vantage the paper used.
 
 use yoda_bench::report::{f2, print_header, print_kv, Table};
-use yoda_bench::{arg_f64, arg_flag};
+use yoda_bench::{Arg, Cli};
 use yoda_core::testbed::{Testbed, TestbedConfig};
 use yoda_core::YodaInstance;
-use yoda_http::{OriginServer, RateClient, RateClientConfig, ServerConfig, SiteCatalog, SiteConfig};
+use yoda_http::{OriginServer, RateClient, RateClientConfig, SiteCatalog, SiteConfig};
 use yoda_netsim::{Addr, Endpoint, Engine, NodeId, SimTime, Topology, Zone};
 use yoda_proxy::{ProxyInstance, ProxyTestbed, ProxyTestbedConfig};
 
@@ -48,7 +48,7 @@ fn run_baseline(rate: f64, duration: SimTime) -> RunResult {
         "backend",
         server_ep.addr,
         Zone::Dc,
-        Box::new(OriginServer::new(ServerConfig::default(), server_ep, catalog.clone())),
+        Box::new(OriginServer::new(server_ep, catalog.clone())),
     );
     let path = small_object(&catalog);
     let addr = Addr::new(172, 16, 1, 1);
@@ -210,9 +210,13 @@ fn cpu_sweep() {
 }
 
 fn main() {
+    let cli = Cli::parse(
+        "fig9_latency_breakdown",
+        &[("rate", Arg::F64), ("secs", Arg::F64), ("no-cpu", Arg::Flag)],
+    );
     print_header("Figure 9", "Latency breakdown, request->response (10 KB objects, WAN clients)");
-    let rate = arg_f64("rate", 400.0);
-    let duration = SimTime::from_secs(arg_f64("secs", 10.0) as u64);
+    let rate = cli.f64("rate", 400.0);
+    let duration = SimTime::from_secs(cli.f64("secs", 10.0) as u64);
     let baseline = run_baseline(rate, duration);
     let yoda = run_yoda(rate, duration);
     let proxy = run_proxy(rate, duration);
@@ -261,7 +265,7 @@ fn main() {
         "decoupling flow state into TCPStore adds <1 ms to a ~150 ms request",
     );
 
-    if !arg_flag("no-cpu") {
+    if !cli.flag("no-cpu") {
         cpu_sweep();
     }
 }

@@ -12,7 +12,7 @@
 //! and runs each against the HAProxy-style baseline and against Yoda.
 
 use yoda_bench::report::{print_header, print_kv, Table};
-use yoda_bench::{run_failover, FailoverSetup, LbKind};
+use yoda_bench::{run_failover, Cli, FailoverSetup, LbKind};
 use yoda_netsim::SimTime;
 
 struct SiteProfile {
@@ -74,6 +74,8 @@ fn impact(lb: LbKind, streaming: bool, seed: u64) -> String {
 }
 
 fn main() {
+    // No options: any argument is a mistake.
+    Cli::parse("table1_website_impact", &[]);
     print_header(
         "Table 1",
         "Impact of LB instance failure on emulated website profiles",

@@ -1,50 +1,22 @@
 //! Experiment harness shared by the per-figure binaries.
 //!
 //! One binary per table/figure of the paper lives in `src/bin/`; this
-//! library holds the common machinery: table printing, time-series
-//! sampling hooks, and the comparative failover scenario used by both
-//! Table 1 and Figure 12.
+//! library holds the common machinery: strict command-line parsing,
+//! table printing, time-series sampling hooks, and the comparative
+//! failover scenario used by both Table 1 and Figure 12.
 
 #![deny(warnings)]
 
 #![forbid(unsafe_code)]
 
+pub mod cli;
 pub mod failover;
 pub mod report;
 pub mod sampler;
 pub mod storestats;
 
+pub use cli::{Arg, Cli};
 pub use failover::{run_failover, FailoverOutcome, FailoverSetup, LbKind};
 pub use report::{print_header, print_kv, print_row, Table};
 pub use sampler::TimeSeries;
 pub use storestats::StoreStatsSummary;
-
-/// Parses `--key value` style arguments with a default.
-pub fn arg_f64(name: &str, default: f64) -> f64 {
-    arg_str(name)
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
-/// Integer variant of [`arg_f64`].
-pub fn arg_usize(name: &str, default: usize) -> usize {
-    arg_str(name)
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
-/// Returns the value following `--name`, if present.
-pub fn arg_str(name: &str) -> Option<String> {
-    let args: Vec<String> = std::env::args().collect();
-    let flag = format!("--{name}");
-    args.iter()
-        .position(|a| *a == flag)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-}
-
-/// True when the bare flag `--name` is present.
-pub fn arg_flag(name: &str) -> bool {
-    let flag = format!("--{name}");
-    std::env::args().any(|a| a == flag)
-}

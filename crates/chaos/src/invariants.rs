@@ -7,7 +7,7 @@
 //! schedules respect Yoda's availability preconditions).
 
 use yoda_core::controller::Controller;
-use yoda_core::instance::YodaInstance;
+use yoda_core::instance::{YodaInstance, WRITE_BEHIND_CAP};
 use yoda_core::rules::RuleTable;
 use yoda_core::testbed::Testbed;
 use yoda_http::{BrowserClient, OriginServer};
@@ -65,8 +65,7 @@ pub fn check_invariants(
     // --- Degraded-mode drops are bounded and accounted (all plans). ----
     // Every record that entered the write-behind buffer is either still
     // queued, replayed after a heal, or counted as dropped — and the
-    // queue itself never exceeds its configured cap.
-    let wb_cap = tb.yoda_cfg.write_behind_cap;
+    // queue itself never exceeds its cap.
     for (&id, addr) in tb.instances.iter().zip(&tb.instance_addrs) {
         let Some(inst) = tb.engine.try_node_ref::<YodaInstance>(id) else {
             continue;
@@ -80,9 +79,9 @@ pub fn check_invariants(
                 inst.wb_enqueued, accounted, inst.wb_drained, inst.wb_dropped
             ));
         }
-        if queued as usize > wb_cap {
+        if queued as usize > WRITE_BEHIND_CAP {
             v.push(format!(
-                "instance {addr}: write-behind queue {queued} exceeds its cap {wb_cap}"
+                "instance {addr}: write-behind queue {queued} exceeds its cap {WRITE_BEHIND_CAP}"
             ));
         }
     }

@@ -35,6 +35,6 @@ pub mod plan;
 pub mod witness;
 
 pub use invariants::check_invariants;
-pub use orchestrator::{apply_plan, run_plan, run_seed, ChaosReport, ChaosScenario};
+pub use orchestrator::{apply_plan, run_plan, run_seed, ChaosReport, ChaosScenario, SHAPE};
 pub use plan::{ChaosPlan, Fault, FaultKind, GrayTarget, PlanBudget, PlanShape};
 pub use witness::{StoreWitness, WITNESS_TICK_KIND};

@@ -18,23 +18,23 @@ use crate::invariants::check_invariants;
 use crate::plan::{ChaosPlan, FaultKind, GrayTarget, PlanBudget, PlanShape};
 use crate::witness::StoreWitness;
 
-/// Scenario knobs: testbed shape, client workload, run length, and the
-/// generation budget.
+/// The chaos testbed's shape: 3 instances, 3 stores, 2 muxes and 4
+/// backends over 2 services (one VIP + one browser each; service 0 runs
+/// the prequal policy so the probe subsystem is exercised).
+pub const SHAPE: PlanShape = PlanShape {
+    instances: 3,
+    stores: 3,
+    muxes: 2,
+    backends: 4,
+    services: 2,
+};
+/// Concurrent fetch processes per browser.
+const BROWSER_PROCESSES: usize = 2;
+
+/// Scenario knobs: client workload, run length, and the generation
+/// budget. The testbed is always [`SHAPE`].
 #[derive(Debug, Clone)]
 pub struct ChaosScenario {
-    /// Active Yoda instances.
-    pub instances: usize,
-    /// TCPStore servers.
-    pub stores: usize,
-    /// L4 muxes.
-    pub muxes: usize,
-    /// Backend servers.
-    pub backends: usize,
-    /// Online services (one VIP + one browser each; service 0 runs the
-    /// prequal policy so the probe subsystem is exercised).
-    pub services: usize,
-    /// Concurrent fetch processes per browser.
-    pub browser_processes: usize,
     /// Browser retries per object.
     pub retries: u32,
     /// Browser HTTP timeout.
@@ -56,12 +56,6 @@ impl ChaosScenario {
     /// floors enforced — zero broken flows expected.
     pub fn survivable() -> Self {
         ChaosScenario {
-            instances: 3,
-            stores: 3,
-            muxes: 2,
-            backends: 4,
-            services: 2,
-            browser_processes: 2,
             retries: 2,
             http_timeout: SimTime::from_secs(10),
             max_pages: None,
@@ -75,29 +69,12 @@ impl ChaosScenario {
     /// lifted — every fetch must still resolve in bounded time.
     pub fn unconstrained() -> Self {
         ChaosScenario {
-            instances: 3,
-            stores: 3,
-            muxes: 2,
-            backends: 4,
-            services: 2,
-            browser_processes: 2,
             retries: 0,
             http_timeout: SimTime::from_secs(5),
             max_pages: Some(1),
             deadline: SimTime::from_secs(100),
             budget: PlanBudget::unconstrained(),
             splice: false,
-        }
-    }
-
-    /// The plan shape this scenario's testbed presents.
-    pub fn shape(&self) -> PlanShape {
-        PlanShape {
-            instances: self.instances,
-            stores: self.stores,
-            muxes: self.muxes,
-            backends: self.backends,
-            services: self.services,
         }
     }
 }
@@ -204,7 +181,7 @@ impl ChaosReport {
 
 /// Generates the plan for `seed` under the scenario's budget and runs it.
 pub fn run_seed(seed: u64, sc: &ChaosScenario) -> ChaosReport {
-    let plan = ChaosPlan::generate(seed, &sc.shape(), &sc.budget);
+    let plan = ChaosPlan::generate(seed, &SHAPE, &sc.budget);
     run_plan(&plan, sc)
 }
 
@@ -213,12 +190,12 @@ pub fn run_seed(seed: u64, sc: &ChaosScenario) -> ChaosReport {
 pub fn run_plan(plan: &ChaosPlan, sc: &ChaosScenario) -> ChaosReport {
     let mut tb = Testbed::build(TestbedConfig {
         seed: plan.seed,
-        num_instances: sc.instances,
+        num_instances: SHAPE.instances,
         num_spares: 0,
-        num_stores: sc.stores,
-        num_backends: sc.backends,
-        num_muxes: sc.muxes,
-        num_services: sc.services,
+        num_stores: SHAPE.stores,
+        num_backends: SHAPE.backends,
+        num_muxes: SHAPE.muxes,
+        num_services: SHAPE.services,
         pages_per_site: 12,
         yoda: YodaConfig {
             splice: sc.splice,
@@ -243,13 +220,13 @@ pub fn run_plan(plan: &ChaosPlan, sc: &ChaosScenario) -> ChaosReport {
     }
 
     let browser_cfg = BrowserConfig {
-        processes: sc.browser_processes,
+        processes: BROWSER_PROCESSES,
         retries: sc.retries,
         http_timeout: sc.http_timeout,
         max_pages: sc.max_pages,
         ..BrowserConfig::default()
     };
-    let browsers: Vec<NodeId> = (0..sc.services)
+    let browsers: Vec<NodeId> = (0..SHAPE.services)
         .map(|s| tb.add_browser(s, browser_cfg.clone()))
         .collect();
 

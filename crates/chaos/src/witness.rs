@@ -14,8 +14,9 @@
 //! judged.
 
 use bytes::Bytes;
+use yoda_core::instance::YodaConfig;
 use yoda_netsim::{Addr, Ctx, Endpoint, Node, Packet, SimTime, TimerToken};
-use yoda_tcpstore::{StoreClient, StoreClientConfig, StoreEvent, StoreOutcome};
+use yoda_tcpstore::{StoreClient, StoreEvent, StoreOutcome};
 
 /// Timer discriminator for the witness's own pacing tick (distinct from
 /// the store client's `STORE_TIMER_KIND`).
@@ -58,8 +59,9 @@ impl StoreWitness {
     /// A witness at `addr` talking to the given store servers.
     pub fn new(addr: Addr, servers: &[Addr]) -> Self {
         StoreWitness {
+            // The same replication factor K as the instances.
             client: StoreClient::new(
-                StoreClientConfig::default(),
+                YodaConfig::default().store_replicas,
                 Endpoint::new(addr, WITNESS_PORT),
                 servers,
             ),

@@ -41,44 +41,25 @@ pub struct AutoscaleConfig {
     pub target_cpu: f64,
 }
 
-/// Controller tunables.
-#[derive(Debug, Clone)]
-pub struct ControllerConfig {
-    /// Health-ping period (paper: 600 ms).
-    pub ping_interval: SimTime,
-    /// Consecutive missed pings before an endpoint is declared dead.
-    /// The paper declares death after a single 600 ms miss; one gray
-    /// packet drop then kills a healthy node, so the default demands 3.
-    pub miss_threshold: u32,
-    /// Consecutive missed pings before an *instance* is derated —
-    /// removed from new-flow VIP maps while monitoring continues. Must
-    /// be below `miss_threshold` to act as an early suspicion level.
-    pub derate_misses: u32,
-    /// Pong-RTT EWMA above which an instance is derated (suspicion by
-    /// slowness, not just silence: a browning node answers pings late).
-    pub suspect_latency: SimTime,
-    /// Stats-poll period.
-    pub stats_interval: SimTime,
-    /// Extra delay between successive per-mux map updates (non-atomic
-    /// update model).
-    pub mux_stagger: SimTime,
-    /// Autoscaler; `None` disables it.
-    pub autoscale: Option<AutoscaleConfig>,
-}
-
-impl Default for ControllerConfig {
-    fn default() -> Self {
-        ControllerConfig {
-            ping_interval: SimTime::from_millis(600),
-            miss_threshold: 3,
-            derate_misses: 2,
-            suspect_latency: SimTime::from_millis(10),
-            stats_interval: SimTime::from_secs(1),
-            mux_stagger: SimTime::from_millis(50),
-            autoscale: None,
-        }
-    }
-}
+/// Health-ping period (paper: 600 ms).
+const PING_INTERVAL: SimTime = SimTime::from_millis(600);
+/// Consecutive missed pings before an endpoint is declared dead. The
+/// paper declares death after a single 600 ms miss; one gray packet drop
+/// then kills a healthy node, so the controller demands 3.
+const MISS_THRESHOLD: u32 = 3;
+/// Consecutive missed pings before an *instance* is derated — removed
+/// from new-flow VIP maps while monitoring continues. Below
+/// `MISS_THRESHOLD`, so it acts as an early suspicion level.
+const DERATE_MISSES: u32 = 2;
+const _: () = assert!(DERATE_MISSES < MISS_THRESHOLD);
+/// Pong-RTT EWMA above which an instance is derated (suspicion by
+/// slowness, not just silence: a browning node answers pings late).
+const SUSPECT_LATENCY: SimTime = SimTime::from_millis(10);
+/// Stats-poll period.
+const STATS_INTERVAL: SimTime = SimTime::from_secs(1);
+/// Extra delay between successive per-mux map updates (non-atomic update
+/// model).
+const MUX_STAGGER: SimTime = SimTime::from_millis(50);
 
 #[derive(Debug, Clone)]
 struct Monitored {
@@ -143,7 +124,8 @@ pub struct CpuSample {
 /// The controller node.
 pub struct Controller {
     addr: Addr,
-    cfg: ControllerConfig,
+    /// Autoscaler; `None` disables it.
+    autoscale: Option<AutoscaleConfig>,
     muxes: Vec<Addr>,
     /// Every registered mux in registration order, failed ones included;
     /// `muxes` is always this list filtered by liveness, so a recovered
@@ -178,11 +160,12 @@ pub struct Controller {
 }
 
 impl Controller {
-    /// Creates a controller bound to `addr`.
-    pub fn new(cfg: ControllerConfig, addr: Addr) -> Self {
+    /// Creates a controller bound to `addr`; `autoscale` enables the
+    /// Figure 13 autoscaler.
+    pub fn new(autoscale: Option<AutoscaleConfig>, addr: Addr) -> Self {
         Controller {
             addr,
-            cfg,
+            autoscale,
             muxes: Vec::new(),
             all_muxes: Vec::new(),
             router: None,
@@ -293,6 +276,7 @@ impl Controller {
         for &inst in &instances {
             let msg = InstanceCtrl::InstallVip {
                 vip,
+                version,
                 rules_text: rules_text.to_string(),
                 ssl_cert_len,
             };
@@ -342,10 +326,10 @@ impl Controller {
                 version,
             };
             let pkt = msg.into_packet(self.me(), mux);
-            ctx.send_after(self.cfg.mux_stagger * i as u64, pkt);
+            ctx.send_after(MUX_STAGGER * i as u64, pkt);
         }
         for inst in state.instances {
-            ctx.send(InstanceCtrl::RemoveVip { vip }.into_packet(self.me(), inst));
+            ctx.send(InstanceCtrl::RemoveVip { vip, version }.into_packet(self.me(), inst));
         }
     }
 
@@ -357,9 +341,14 @@ impl Controller {
             return;
         };
         state.rules_text = rules_text.to_string();
+        // A new version, so an instance that hears this install before
+        // an older one still in flight keeps the new rules.
+        state.version = self.next_version;
+        self.next_version += 1;
         for &inst in &state.instances {
             let msg = InstanceCtrl::InstallVip {
                 vip,
+                version: state.version,
                 rules_text: rules_text.to_string(),
                 ssl_cert_len: state.ssl_cert_len,
             };
@@ -387,7 +376,7 @@ impl Controller {
                 version,
             };
             let pkt = msg.into_packet(self.me(), mux);
-            ctx.send_after(self.cfg.mux_stagger * i as u64, pkt);
+            ctx.send_after(MUX_STAGGER * i as u64, pkt);
         }
     }
 
@@ -469,7 +458,7 @@ impl Controller {
                 let version = state.version;
                 self.push_vip_map(ctx, vip.addr, instances, version);
             }
-            let settle = self.cfg.mux_stagger * self.muxes.len() as u64;
+            let settle = MUX_STAGGER * self.muxes.len() as u64;
             if let Some(router) = self.router {
                 let msg = CtrlMsg::SetMuxes {
                     muxes: self.muxes.clone(),
@@ -510,7 +499,6 @@ impl Controller {
         self.active.insert(addr, false);
         let me = self.me();
         let muxes = self.muxes.clone();
-        let stagger = self.cfg.mux_stagger;
         for (&vip, state) in self.vips.iter_mut() {
             if !state.instances.contains(&addr) {
                 continue;
@@ -525,7 +513,7 @@ impl Controller {
                     version: state.version,
                 };
                 let pkt = msg.into_packet(me, mux);
-                ctx.send_after(stagger * i as u64, pkt);
+                ctx.send_after(MUX_STAGGER * i as u64, pkt);
             }
         }
     }
@@ -580,6 +568,7 @@ impl Controller {
                 };
                 let msg = InstanceCtrl::InstallVip {
                     vip,
+                    version: state.version,
                     rules_text: state.rules_text.clone(),
                     ssl_cert_len: state.ssl_cert_len,
                 };
@@ -640,6 +629,7 @@ impl Controller {
                 };
                 let msg = InstanceCtrl::InstallVip {
                     vip,
+                    version: state.version,
                     rules_text: state.rules_text.clone(),
                     ssl_cert_len: state.ssl_cert_len,
                 };
@@ -662,18 +652,18 @@ impl Controller {
     fn ping_cycle(&mut self, ctx: &mut Ctx<'_>) {
         // First: account a miss for anything that did not answer the
         // previous ping. A single miss used to mean death — one gray
-        // packet drop killed a healthy node. Now `miss_threshold`
-        // consecutive misses mean death, with `derate_misses` as the
+        // packet drop killed a healthy node. Now `MISS_THRESHOLD`
+        // consecutive misses mean death, with `DERATE_MISSES` as the
         // earlier, reversible suspicion level for instances.
         let mut newly_failed = Vec::new();
         let mut newly_suspect = Vec::new();
         for m in &mut self.monitored {
             if m.awaiting && !m.failed {
                 m.misses += 1;
-                if m.misses >= self.cfg.miss_threshold {
+                if m.misses >= MISS_THRESHOLD {
                     m.failed = true;
                     newly_failed.push(m.ep);
-                } else if m.misses >= self.cfg.derate_misses && !m.derated {
+                } else if m.misses >= DERATE_MISSES && !m.derated {
                     m.derated = true;
                     newly_suspect.push(m.ep);
                 }
@@ -703,7 +693,7 @@ impl Controller {
             m.ping_sent = now;
             ctx.send(Packet::new(me, m.ep, PROTO_PING, Bytes::new()));
         }
-        ctx.set_timer(self.cfg.ping_interval, TimerToken::new(PING_KIND));
+        ctx.set_timer(PING_INTERVAL, TimerToken::new(PING_KIND));
     }
 
     fn stats_cycle(&mut self, ctx: &mut Ctx<'_>) {
@@ -722,7 +712,7 @@ impl Controller {
                     request_rate: if dt > 0.0 { reqs as f64 / dt } else { 0.0 },
                 };
                 self.cpu_history.push(sample);
-                if let Some(auto) = self.cfg.autoscale {
+                if let Some(auto) = self.autoscale {
                     if mean > auto.high_cpu && !self.spares.is_empty() {
                         // Size so mean CPU falls to ~target.
                         let active = replies.len() as f64;
@@ -745,14 +735,14 @@ impl Controller {
                 ctx.send(InstanceCtrl::StatsRequest { seq }.into_packet(me, inst));
             }
         }
-        ctx.set_timer(self.cfg.stats_interval, TimerToken::new(STATS_KIND));
+        ctx.set_timer(STATS_INTERVAL, TimerToken::new(STATS_KIND));
     }
 }
 
 impl Node for Controller {
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-        ctx.set_timer(self.cfg.ping_interval, TimerToken::new(PING_KIND));
-        ctx.set_timer(self.cfg.stats_interval, TimerToken::new(STATS_KIND));
+        ctx.set_timer(PING_INTERVAL, TimerToken::new(PING_KIND));
+        ctx.set_timer(STATS_INTERVAL, TimerToken::new(STATS_KIND));
         self.last_stats_at = ctx.now();
     }
 
@@ -765,7 +755,6 @@ impl Node for Controller {
                 // node that answers, but slowly, is suspected (derated)
                 // without ever missing a ping.
                 let now = ctx.now();
-                let suspect = self.cfg.suspect_latency;
                 let mut recovered = Vec::new();
                 let mut slow = Vec::new();
                 let mut healed = Vec::new();
@@ -786,10 +775,10 @@ impl Node for Controller {
                             m.failed = false;
                             m.derated = false;
                             recovered.push(m.ep);
-                        } else if !m.derated && m.ewma > suspect {
+                        } else if !m.derated && m.ewma > SUSPECT_LATENCY {
                             m.derated = true;
                             slow.push(m.ep);
-                        } else if m.derated && m.ewma <= suspect {
+                        } else if m.derated && m.ewma <= SUSPECT_LATENCY {
                             m.derated = false;
                             healed.push(m.ep);
                         } else if pkt.payload.first() == Some(&1) {
@@ -854,7 +843,7 @@ mod tests {
 
     #[test]
     fn registration_bookkeeping() {
-        let mut c = Controller::new(ControllerConfig::default(), Addr::new(10, 0, 4, 1));
+        let mut c = Controller::new(None, Addr::new(10, 0, 4, 1));
         c.register_instance(Addr::new(10, 0, 0, 1));
         c.register_instance(Addr::new(10, 0, 0, 2));
         c.register_spare(Addr::new(10, 0, 0, 3));
@@ -867,12 +856,11 @@ mod tests {
 
     #[test]
     fn default_matches_paper_600ms() {
-        let cfg = ControllerConfig::default();
-        assert_eq!(cfg.ping_interval, SimTime::from_millis(600));
-        // Gray-failure hardening: death needs more than one missed ping,
-        // and the derate level sits strictly below the death level.
-        assert_eq!(cfg.miss_threshold, 3);
-        assert!(cfg.derate_misses < cfg.miss_threshold);
+        assert_eq!(PING_INTERVAL, SimTime::from_millis(600));
+        // Gray-failure hardening: death needs more than one missed ping;
+        // the derate level sits strictly below the death level (checked
+        // at compile time beside `DERATE_MISSES`).
+        assert_eq!(MISS_THRESHOLD, 3);
     }
 
     use yoda_netsim::{Engine, Topology, Zone};
@@ -925,7 +913,7 @@ mod tests {
         let mut eng = Engine::with_topology(3, Topology::uniform(SimTime::from_micros(250)));
         let caddr = Addr::new(10, 0, 4, 1);
         let iaddr = Addr::new(10, 0, 0, 1);
-        let mut c = Controller::new(ControllerConfig::default(), caddr);
+        let mut c = Controller::new(None, caddr);
         c.register_instance(iaddr);
         let cid = eng.add_node("ctrl", caddr, Zone::Dc, Box::new(c));
         eng.add_node(
@@ -945,7 +933,7 @@ mod tests {
         let mut eng = Engine::with_topology(3, Topology::uniform(SimTime::from_micros(250)));
         let caddr = Addr::new(10, 0, 4, 1);
         let iaddr = Addr::new(10, 0, 0, 1);
-        let mut c = Controller::new(ControllerConfig::default(), caddr);
+        let mut c = Controller::new(None, caddr);
         c.register_instance(iaddr);
         let cid = eng.add_node("ctrl", caddr, Zone::Dc, Box::new(c));
         eng.add_node(
@@ -957,7 +945,7 @@ mod tests {
         eng.run_for(SimTime::from_secs(6));
         let c = eng.node_ref::<Controller>(cid);
         assert_eq!(c.failures_detected, 1);
-        // Death takes miss_threshold consecutive cycles, not one: first
+        // Death takes MISS_THRESHOLD consecutive cycles, not one: first
         // ping at 600 ms, third miss counted at 2400 ms.
         let (t, _) = c.failure_times[0];
         assert!(
@@ -974,7 +962,7 @@ mod tests {
         let caddr = Addr::new(10, 0, 4, 1);
         let iaddr = Addr::new(10, 0, 0, 1);
         let vip = Endpoint::new(Addr::new(100, 0, 0, 1), 80);
-        let mut c = Controller::new(ControllerConfig::default(), caddr);
+        let mut c = Controller::new(None, caddr);
         c.register_instance(iaddr);
         let cid = eng.add_node("ctrl", caddr, Zone::Dc, Box::new(c));
         // Pongs arrive, but 30 ms late (browning node) for the first 4

@@ -22,6 +22,11 @@ pub enum InstanceCtrl {
     InstallVip {
         /// The VIP.
         vip: Endpoint,
+        /// The controller's version of the VIP. Instances ignore an
+        /// install or remove older than the last one they applied for the
+        /// VIP: two messages sent in the same instant can arrive in either
+        /// order (per-hop jitter).
+        version: u64,
         /// Rule DSL text (see [`RuleTable::parse`]).
         rules_text: String,
         /// SSL termination: total certificate length to send to clients
@@ -32,6 +37,8 @@ pub enum InstanceCtrl {
     RemoveVip {
         /// The VIP.
         vip: Endpoint,
+        /// The controller's version of the VIP (see `InstallVip`).
+        version: u64,
     },
     /// A backend server was declared dead by the monitor.
     BackendDown {
@@ -72,6 +79,10 @@ fn parse_endpoint(s: &str) -> Option<Endpoint> {
     Some(Endpoint::new(parse_addr(addr)?, port))
 }
 
+fn parse_version(s: &str) -> Option<u64> {
+    s.strip_prefix("v=")?.parse().ok()
+}
+
 fn parse_addr(s: &str) -> Option<Addr> {
     let o: Vec<u8> = s
         .split('.')
@@ -89,13 +100,14 @@ impl InstanceCtrl {
         let text = match self {
             InstanceCtrl::InstallVip {
                 vip,
+                version,
                 rules_text,
                 ssl_cert_len,
             } => match ssl_cert_len {
-                Some(len) => format!("install-vip {vip} ssl={len}\n{rules_text}"),
-                None => format!("install-vip {vip}\n{rules_text}"),
+                Some(len) => format!("install-vip {vip} v={version} ssl={len}\n{rules_text}"),
+                None => format!("install-vip {vip} v={version}\n{rules_text}"),
             },
-            InstanceCtrl::RemoveVip { vip } => format!("remove-vip {vip}"),
+            InstanceCtrl::RemoveVip { vip, version } => format!("remove-vip {vip} v={version}"),
             InstanceCtrl::BackendDown { backend } => format!("backend-down {backend}"),
             InstanceCtrl::BackendUp { backend } => format!("backend-up {backend}"),
             InstanceCtrl::SetMuxes { muxes } => {
@@ -130,6 +142,7 @@ impl InstanceCtrl {
         match parts.next()? {
             "install-vip" => {
                 let vip = parse_endpoint(parts.next()?)?;
+                let version = parse_version(parts.next()?)?;
                 let ssl_cert_len = match parts.next() {
                     Some(tok) => Some(tok.strip_prefix("ssl=")?.parse().ok()?),
                     None => None,
@@ -138,12 +151,14 @@ impl InstanceCtrl {
                 RuleTable::parse(rest)?;
                 Some(InstanceCtrl::InstallVip {
                     vip,
+                    version,
                     rules_text: rest.to_string(),
                     ssl_cert_len,
                 })
             }
             "remove-vip" => Some(InstanceCtrl::RemoveVip {
                 vip: parse_endpoint(parts.next()?)?,
+                version: parse_version(parts.next()?)?,
             }),
             "backend-down" => Some(InstanceCtrl::BackendDown {
                 backend: parse_endpoint(parts.next()?)?,
@@ -202,16 +217,18 @@ mod tests {
         let backend = Endpoint::new(Addr::new(10, 1, 0, 2), 80);
         roundtrip(InstanceCtrl::InstallVip {
             vip,
+            version: 1,
             rules_text: "name=r priority=1 match url=*.jpg action=split 10.1.0.2:80=1"
                 .to_string(),
             ssl_cert_len: None,
         });
         roundtrip(InstanceCtrl::InstallVip {
             vip,
+            version: u64::MAX,
             rules_text: "name=r priority=1 match * action=split 10.1.0.2:80=1".to_string(),
             ssl_cert_len: Some(3000),
         });
-        roundtrip(InstanceCtrl::RemoveVip { vip });
+        roundtrip(InstanceCtrl::RemoveVip { vip, version: 7 });
         roundtrip(InstanceCtrl::BackendDown { backend });
         roundtrip(InstanceCtrl::BackendUp { backend });
         roundtrip(InstanceCtrl::SetMuxes {
@@ -228,8 +245,25 @@ mod tests {
 
     #[test]
     fn install_rejects_bad_rules() {
-        let raw = Bytes::from_static(b"install-vip 100.0.0.1:80\nnot a rule");
+        let raw = Bytes::from_static(b"install-vip 100.0.0.1:80 v=1\nnot a rule");
         assert!(InstanceCtrl::decode(&raw).is_none());
+    }
+
+    #[test]
+    fn vip_messages_require_a_version() {
+        let rules = "\nname=r priority=1 match * action=split 10.1.0.2:80=1";
+        for raw in [
+            format!("install-vip 100.0.0.1:80{rules}"),
+            format!("install-vip 100.0.0.1:80 ssl=3000{rules}"),
+            format!("install-vip 100.0.0.1:80 v=x{rules}"),
+            "remove-vip 100.0.0.1:80".to_string(),
+            "remove-vip 100.0.0.1:80 v=-1".to_string(),
+        ] {
+            assert!(
+                InstanceCtrl::decode(&Bytes::from(raw.clone())).is_none(),
+                "{raw}"
+            );
+        }
     }
 
     #[test]
@@ -244,6 +278,7 @@ mod tests {
                      name=b priority=1 match * action=leastload 10.1.0.3:80";
         roundtrip(InstanceCtrl::InstallVip {
             vip: Endpoint::new(Addr::new(100, 0, 0, 7), 80),
+            version: 3,
             rules_text: rules.to_string(),
             ssl_cert_len: None,
         });

@@ -22,15 +22,15 @@
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use bytes::{Bytes, BytesMut};
-use yoda_balance::{ProbeConfig, ProbeReply, ProbeRequest, Prober, Signal, PROBE_PORT};
-use yoda_http::{parse_request, HttpRequest};
+use yoda_balance::{ProbeReply, ProbeRequest, Prober, Signal, PROBE_PORT, PROBE_TIMEOUT};
+use yoda_http::{parse_request, HttpRequest, TLS_HELLO};
 use yoda_netsim::hash::hash_pair;
 use yoda_netsim::{
     Addr, Ctx, Endpoint, Histogram, Node, Packet, ServiceQueue, SimTime, TimerToken, PROTO_CTRL,
     PROTO_IPIP, PROTO_PING, PROTO_PROBE, PROTO_RPC,
 };
-use yoda_tcp::{Flags, Segment, SeqNum};
-use yoda_tcpstore::{StoreClient, StoreClientConfig, StoreEvent, StoreOp, StoreOutcome};
+use yoda_tcp::{Flags, Segment, SeqNum, MSS};
+use yoda_tcpstore::{StoreClient, StoreEvent, StoreOp, StoreOutcome, OP_TIMEOUT};
 
 use yoda_l4lb::CtrlMsg as MuxCtrl;
 
@@ -73,9 +73,6 @@ const RECOVERY_TTL: SimTime = SimTime::from_secs(5);
 /// for every in-flight packet.
 const SPLICE_REINSTALL: SimTime = SimTime::from_millis(10);
 
-/// The fixed TLS ClientHello stand-in an SSL client sends first (§5.2).
-pub const SSL_HELLO: &[u8] = b"CLIENTHELLO\n";
-
 /// Builds the deterministic certificate blob for an SSL VIP: a 19-byte
 /// header carrying the total length, padded to `len`. Determinism is what
 /// lets *any* instance "resend the entire certificate" after a failure
@@ -96,26 +93,41 @@ pub struct VipConfig {
     pub ssl_cert_len: Option<u32>,
 }
 
+/// CPU cores per instance (the paper's 8-core VM, §7.1).
+const INSTANCE_CORES: usize = 8;
+/// Fixed user-space pipeline latency added to every forwarded packet.
+const PKT_LATENCY: SimTime = SimTime::from_micros(350);
+/// Drop packets whose core backlog exceeds this (overload behaviour).
+const OVERLOAD_BACKLOG: SimTime = SimTime::from_millis(250);
+/// Gray-failure tolerance: this many *consecutive* store-write timeouts
+/// tip the instance into degraded mode, where SYN-ACKs no longer wait on
+/// store acks and writes buffer in a bounded write-behind queue until the
+/// store heals. Durability is traded for availability only while the
+/// store browns out.
+const DEGRADED_AFTER: u32 = 3;
+/// Write-behind buffer capacity while degraded. Overflow drops the
+/// *oldest* record (its flow loses recoverability, not service) and
+/// accounts the drop in `wb_dropped`.
+pub const WRITE_BEHIND_CAP: usize = 256;
+/// How often a degraded instance probes the store for recovery.
+const HEAL_PROBE_INTERVAL: SimTime = SimTime::from_millis(250);
+
 /// Instance tunables.
 ///
 /// CPU defaults are calibrated to §7.1: the paper's (Python) instance
-/// saturates at ~12K req/s and ~110K pkt/s on an 8-core VM; the fixed
-/// per-packet pipeline latency reproduces the user-space forwarding cost
-/// that makes Yoda's Figure 9 "LB" component ≈8 ms over ~20 packets.
+/// saturates at ~12K req/s and ~110K pkt/s on an 8-core VM
+/// (`INSTANCE_CORES`); the fixed per-packet pipeline latency
+/// (`PKT_LATENCY`) reproduces the user-space forwarding cost that makes
+/// Yoda's Figure 9 "LB" component ≈8 ms over ~20 packets.
 #[derive(Debug, Clone)]
 pub struct YodaConfig {
-    /// CPU cores.
-    pub cores: usize,
     /// CPU time per forwarded packet.
     pub per_pkt_cpu: SimTime,
     /// Extra CPU time per new connection (header parse + rule scan).
     pub per_conn_cpu: SimTime,
-    /// Fixed user-space pipeline latency added to every forwarded packet.
-    pub pkt_latency: SimTime,
-    /// Drop packets whose core backlog exceeds this (overload behaviour).
-    pub overload_backlog: SimTime,
-    /// Store client configuration (replicas, timeout).
-    pub store: StoreClientConfig,
+    /// TCPStore replication factor K (paper evaluates K=2; K=1 is
+    /// "default Memcached").
+    pub store_replicas: usize,
     /// Inspect tunneled client payloads for new HTTP/1.1 requests and
     /// re-run rule selection (content-based switching mid-connection,
     /// §5.2).
@@ -127,47 +139,26 @@ pub struct YodaConfig {
     /// instance stores all the packets it ACKes ... so that no state is
     /// lost on failures").
     pub optimistic_synack: bool,
-    /// MSS used when chunking the forwarded request.
-    pub mss: usize,
-    /// Probe subsystem tunables (`action=prequal` rules; probing only
-    /// runs while at least one installed rule is prequal).
-    pub probe: ProbeConfig,
+    /// Probe tick period for `action=prequal` rules (probing only runs
+    /// while at least one installed rule is prequal).
+    pub probe_period: SimTime,
     /// Mux fast path: once a flow enters tunneling, install splice entries
     /// at its muxes so steady-state packets are translated and forwarded
     /// below the instance (XLB-style flow splicing). Flows that still need
     /// HTTP/1.1 inspection only splice the server leg.
     pub splice: bool,
-    /// Gray-failure tolerance: this many *consecutive* store-write
-    /// timeouts tip the instance into degraded mode, where SYN-ACKs no
-    /// longer wait on store acks and writes buffer in a bounded
-    /// write-behind queue until the store heals. Durability is traded
-    /// for availability only while the store browns out.
-    pub degraded_after: u32,
-    /// Write-behind buffer capacity while degraded. Overflow drops the
-    /// *oldest* record (its flow loses recoverability, not service) and
-    /// accounts the drop in `wb_dropped`.
-    pub write_behind_cap: usize,
-    /// How often a degraded instance probes the store for recovery.
-    pub heal_probe_interval: SimTime,
 }
 
 impl Default for YodaConfig {
     fn default() -> Self {
         YodaConfig {
-            cores: 8,
             per_pkt_cpu: SimTime::from_micros(16),
             per_conn_cpu: SimTime::from_micros(300),
-            pkt_latency: SimTime::from_micros(350),
-            overload_backlog: SimTime::from_millis(250),
-            store: StoreClientConfig::default(),
+            store_replicas: 2,
             http11_inspect: true,
             optimistic_synack: false,
-            mss: 1460,
-            probe: ProbeConfig::default(),
+            probe_period: SimTime::from_millis(10),
             splice: false,
-            degraded_after: 3,
-            write_behind_cap: 256,
-            heal_probe_interval: SimTime::from_millis(250),
         }
     }
 }
@@ -303,6 +294,9 @@ pub struct YodaInstance {
     cfg: YodaConfig,
     muxes: Vec<Addr>,
     vips: BTreeMap<Endpoint, VipConfig>,
+    /// Controller version of the last install/remove applied per VIP,
+    /// kept after a removal so a late install cannot resurrect the VIP.
+    vip_versions: BTreeMap<Endpoint, u64>,
     select_ctx: SelectCtx,
     prober: Prober,
     store: StoreClient,
@@ -368,18 +362,17 @@ impl YodaInstance {
     /// Creates an instance bound to `addr`, using `store_servers` for
     /// TCPStore and `muxes` for SNAT egress.
     pub fn new(cfg: YodaConfig, addr: Addr, store_servers: &[Addr], muxes: Vec<Addr>) -> Self {
-        let store = StoreClient::new(cfg.store.clone(), Endpoint::new(addr, 9999), store_servers);
-        let cores = cfg.cores;
-        let probe = cfg.probe;
+        let store = StoreClient::new(cfg.store_replicas, Endpoint::new(addr, 9999), store_servers);
         YodaInstance {
             addr,
             cfg,
             muxes,
             vips: BTreeMap::new(),
+            vip_versions: BTreeMap::new(),
             select_ctx: SelectCtx::default(),
-            prober: Prober::new(probe),
+            prober: Prober::default(),
             store,
-            cpu: ServiceQueue::new(cores),
+            cpu: ServiceQueue::new(INSTANCE_CORES),
             flows: BTreeMap::new(),
             rflows: BTreeMap::new(),
             recovering: BTreeMap::new(),
@@ -422,8 +415,7 @@ impl YodaInstance {
     }
 
     /// Installs a VIP with full options (rules + SSL).
-    pub fn install_vip_cfg(&mut self, vip: Endpoint, mut cfg: VipConfig) {
-        cfg.rules.set_pool_config(self.cfg.probe.pool);
+    pub fn install_vip_cfg(&mut self, vip: Endpoint, cfg: VipConfig) {
         self.vips.insert(vip, cfg);
     }
 
@@ -489,7 +481,7 @@ impl YodaInstance {
     /// Pushes a deferred write, dropping the oldest record past the cap.
     /// Conservation: `wb_enqueued == wb_drained + wb_dropped + len`.
     fn wb_push(&mut self, op: WbOp) {
-        if self.write_behind.len() >= self.cfg.write_behind_cap {
+        if self.write_behind.len() >= WRITE_BEHIND_CAP {
             self.write_behind.pop_front();
             self.wb_dropped += 1;
         }
@@ -529,14 +521,14 @@ impl YodaInstance {
         }
     }
 
-    /// Counts a store-write timeout; `degraded_after` consecutive ones
+    /// Counts a store-write timeout; `DEGRADED_AFTER` consecutive ones
     /// tip the instance into degraded mode. The paper's write-before-
     /// commit ordering (§4.2) trades latency for recoverability; under a
     /// store brownout the instance flips that trade so new connections
     /// keep succeeding.
     fn note_write_timeout(&mut self, ctx: &mut Ctx<'_>) {
         self.consec_write_timeouts += 1;
-        if !self.degraded && self.consec_write_timeouts >= self.cfg.degraded_after {
+        if !self.degraded && self.consec_write_timeouts >= DEGRADED_AFTER {
             self.degraded = true;
             self.degraded_entries += 1;
             ctx.trace_note(format!(
@@ -545,10 +537,7 @@ impl YodaInstance {
             ));
             if !self.heal_probe_armed {
                 self.heal_probe_armed = true;
-                ctx.set_timer(
-                    self.cfg.heal_probe_interval,
-                    TimerToken::new(DEGRADED_PROBE_KIND),
-                );
+                ctx.set_timer(HEAL_PROBE_INTERVAL, TimerToken::new(DEGRADED_PROBE_KIND));
             }
         }
     }
@@ -557,7 +546,7 @@ impl YodaInstance {
     /// timeout streak. Deliberately does NOT exit degraded mode — a write
     /// issued before the brownout can still limp home through retries and
     /// late acks, and healing on such a straggler flaps the instance in
-    /// and out of degraded mode (each re-entry blocks `degraded_after`
+    /// and out of degraded mode (each re-entry blocks `DEGRADED_AFTER`
     /// more SYN-ACKs on a store that is still slow). Only a fast heal
     /// probe heals ([`Self::heal`]).
     fn note_write_ok(&mut self) {
@@ -613,10 +602,7 @@ impl YodaInstance {
         let key = Bytes::from(format!("hprobe:{}", self.addr));
         self.store.set(ctx, key, Bytes::from_static(b"hp"), tag);
         self.heal_probe_armed = true;
-        ctx.set_timer(
-            self.cfg.heal_probe_interval,
-            TimerToken::new(DEGRADED_PROBE_KIND),
-        );
+        ctx.set_timer(HEAL_PROBE_INTERVAL, TimerToken::new(DEGRADED_PROBE_KIND));
     }
 
     fn tag(&mut self, op: PendingOp) -> u64 {
@@ -762,12 +748,12 @@ impl YodaInstance {
     /// Charges CPU for one packet; returns the total processing delay, or
     /// `None` if the instance is overloaded and drops the packet.
     fn charge_packet(&mut self, now: SimTime, affinity: u64, extra: SimTime) -> Option<SimTime> {
-        if self.cpu.would_exceed(now, affinity, self.cfg.overload_backlog) {
+        if self.cpu.would_exceed(now, affinity, OVERLOAD_BACKLOG) {
             self.dropped_overload += 1;
             return None;
         }
         let done = self.cpu.submit(now, self.cfg.per_pkt_cpu + extra, affinity);
-        Some(self.cfg.pkt_latency + done.saturating_sub(now))
+        Some(PKT_LATENCY + done.saturating_sub(now))
     }
 
     // ------------------------------------------------------------------
@@ -936,8 +922,8 @@ impl YodaInstance {
                 let ssl = self.vips.get(&vip).and_then(|v| v.ssl_cert_len);
                 if let Some(cert_len) = ssl {
                     let mut send_cert = false;
-                    while buf.starts_with(SSL_HELLO) {
-                        let _ = buf.split_to(SSL_HELLO.len());
+                    while buf.starts_with(TLS_HELLO) {
+                        let _ = buf.split_to(TLS_HELLO.len());
                         *hello_done = true;
                         send_cert = true;
                     }
@@ -1032,10 +1018,9 @@ impl YodaInstance {
     ) {
         let cert = make_cert(cert_len);
         let base = syn_ack_isn(client, vip) + 1;
-        let mss = self.cfg.mss;
         let mut offset = 0usize;
         while offset < cert.len() {
-            let len = (cert.len() - offset).min(mss);
+            let len = (cert.len() - offset).min(MSS);
             let seg = Segment {
                 src_port: vip.port,
                 dst_port: client.port,
@@ -1812,7 +1797,7 @@ impl YodaInstance {
                 .get(&syn.vip)
                 .and_then(|v| v.ssl_cert_len)
                 .is_some();
-            let hello_skip = if ssl { SSL_HELLO.len() as u32 } else { 0 };
+            let hello_skip = if ssl { TLS_HELLO.len() as u32 } else { 0 };
             self.flows.insert(
                 (syn.client, syn.vip),
                 FlowEntry {
@@ -1856,7 +1841,7 @@ impl YodaInstance {
             .get(&record.vip)
             .and_then(|v| v.ssl_cert_len)
             .unwrap_or(0);
-        let hello = if cert > 0 { SSL_HELLO.len() as u32 } else { 0 };
+        let hello = if cert > 0 { TLS_HELLO.len() as u32 } else { 0 };
         let delta = (yoda_isn + cert).offset_from(record.server_isn);
         let vss = record.vip_server_side();
         self.rflows.insert((record.backend, vss), key);
@@ -1987,9 +1972,7 @@ impl YodaInstance {
                 // (one lucky probe between queue spikes) does not flap
                 // the instance out of and back into degraded mode.
                 if self.degraded {
-                    if ev.outcome != StoreOutcome::TimedOut
-                        && ev.latency <= self.cfg.store.op_timeout
-                    {
+                    if ev.outcome != StoreOutcome::TimedOut && ev.latency <= OP_TIMEOUT {
                         self.fast_probes += 1;
                         if self.fast_probes >= HEAL_AFTER_PROBES {
                             self.fast_probes = 0;
@@ -2050,7 +2033,7 @@ impl YodaInstance {
                     .get(&record.vip)
                     .and_then(|v| v.ssl_cert_len)
                     .unwrap_or(0);
-                let hello = if cert > 0 { SSL_HELLO.len() as u32 } else { 0 };
+                let hello = if cert > 0 { TLS_HELLO.len() as u32 } else { 0 };
                 let is_racing = !racing.is_empty();
                 entry.phase = Phase::Tunneling(Tunnel {
                     backend: record.backend,
@@ -2076,10 +2059,9 @@ impl YodaInstance {
                     splice_sent_at: SimTime::ZERO,
                 });
                 let vss = record.vip_server_side();
-                let mss = self.cfg.mss;
                 let mut offset = 0usize;
                 while offset < header.len() {
-                    let len = (header.len() - offset).min(mss);
+                    let len = (header.len() - offset).min(MSS);
                     let seg = Segment {
                         src_port: vss.port,
                         dst_port: record.backend.port,
@@ -2143,12 +2125,12 @@ impl YodaInstance {
                     ProbeRequest { tag }.encode(),
                 ));
                 ctx.set_timer(
-                    self.cfg.probe.timeout,
+                    PROBE_TIMEOUT,
                     TimerToken::new(PROBE_TIMEOUT_KIND).with_a(tag),
                 );
             }
         }
-        ctx.set_timer(self.cfg.probe.period, TimerToken::new(PROBE_TICK_KIND));
+        ctx.set_timer(self.cfg.probe_period, TimerToken::new(PROBE_TICK_KIND));
     }
 
     /// A probe reply: feed the signal to every VIP's rule table.
@@ -2185,6 +2167,18 @@ impl YodaInstance {
     // Control plane
     // ------------------------------------------------------------------
 
+    /// Records `version` for `vip` unless an install or remove of a newer
+    /// version was already applied; returns whether the message is
+    /// current (an equal version re-applies).
+    fn newest_vip_version(&mut self, vip: Endpoint, version: u64) -> bool {
+        let last = self.vip_versions.entry(vip).or_insert(0);
+        if version < *last {
+            return false;
+        }
+        *last = version;
+        true
+    }
+
     fn handle_ctrl(&mut self, ctx: &mut Ctx<'_>, pkt: &Packet) {
         let Some(msg) = InstanceCtrl::decode(&pkt.payload) else {
             return;
@@ -2192,14 +2186,27 @@ impl YodaInstance {
         match msg {
             InstanceCtrl::InstallVip {
                 vip,
+                version,
                 rules_text,
                 ssl_cert_len,
             } => {
-                if let Some(rules) = RuleTable::parse(&rules_text) {
-                    self.install_vip_cfg(vip, VipConfig { rules, ssl_cert_len });
+                if self.newest_vip_version(vip, version) {
+                    if let Some(rules) = RuleTable::parse(&rules_text) {
+                        self.install_vip_cfg(
+                            vip,
+                            VipConfig {
+                                rules,
+                                ssl_cert_len,
+                            },
+                        );
+                    }
                 }
             }
-            InstanceCtrl::RemoveVip { vip } => self.remove_vip(vip),
+            InstanceCtrl::RemoveVip { vip, version } => {
+                if self.newest_vip_version(vip, version) {
+                    self.remove_vip(vip);
+                }
+            }
             InstanceCtrl::BackendDown { backend } => {
                 self.select_ctx.dead.insert(backend);
                 for vcfg in self.vips.values_mut() {
@@ -2303,7 +2310,7 @@ impl YodaInstance {
 impl Node for YodaInstance {
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
         ctx.set_timer(GC_PERIOD, TimerToken::new(GC_KIND));
-        ctx.set_timer(self.cfg.probe.period, TimerToken::new(PROBE_TICK_KIND));
+        ctx.set_timer(self.cfg.probe_period, TimerToken::new(PROBE_TICK_KIND));
         self.cpu.reset_window(ctx.now());
     }
 
@@ -2371,7 +2378,7 @@ mod tests {
         // operating points).
         let cfg = YodaConfig::default();
         let per_req = cfg.per_pkt_cpu.as_secs_f64() * 20.0 + cfg.per_conn_cpu.as_secs_f64();
-        let saturation = cfg.cores as f64 / per_req;
+        let saturation = INSTANCE_CORES as f64 / per_req;
         assert!(saturation > 11_000.0 && saturation < 14_500.0, "{saturation}");
     }
 

@@ -39,7 +39,7 @@ pub mod isn;
 pub mod rules;
 pub mod testbed;
 
-pub use controller::{AutoscaleConfig, Controller, ControllerConfig, CpuSample};
+pub use controller::{AutoscaleConfig, Controller, CpuSample};
 pub use ctrl::{InstanceCtrl, CTRL_PORT};
 pub use flowstate::{FlowRecord, SynRecord};
 pub use instance::{YodaConfig, YodaInstance};

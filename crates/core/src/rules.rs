@@ -362,8 +362,6 @@ pub struct RuleTable {
     sticky: BTreeMap<String, Endpoint>,
     /// Per-prequal-rule probe pools, keyed by rule name (lazily created).
     pools: BTreeMap<String, ProbePool>,
-    /// Configuration applied to newly created pools.
-    pool_cfg: PoolConfig,
 }
 
 impl RuleTable {
@@ -552,21 +550,13 @@ impl RuleTable {
                 Some(pick)
             }
             Action::Prequal(_) => {
-                let cfg = self.pool_cfg;
                 let pool = self
                     .pools
                     .entry(rule_name.to_string())
-                    .or_insert_with(|| ProbePool::new(cfg));
+                    .or_insert_with(|| ProbePool::new(PoolConfig::default()));
                 HotCold { pool }.pick(&input, rng)
             }
         }
-    }
-
-    /// Replaces the configuration used for pools created after this call
-    /// (the instance pushes its `YodaConfig` probe settings here when a
-    /// VIP is installed, before any probe answers arrive).
-    pub fn set_pool_config(&mut self, cfg: PoolConfig) {
-        self.pool_cfg = cfg;
     }
 
     /// True when any rule uses the prequal action (drives probing).
@@ -589,13 +579,12 @@ impl RuleTable {
     /// Feeds one probe answer to every prequal rule pool that includes
     /// `backend`.
     pub fn on_probe(&mut self, backend: Endpoint, sig: Signal) {
-        let cfg = self.pool_cfg;
         for r in &self.rules {
             if let Action::Prequal(bs) = &r.action {
                 if bs.contains(&backend) {
                     self.pools
                         .entry(r.name.clone())
-                        .or_insert_with(|| ProbePool::new(cfg))
+                        .or_insert_with(|| ProbePool::new(PoolConfig::default()))
                         .admit(backend, sig);
                 }
             }

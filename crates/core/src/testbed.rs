@@ -9,19 +9,19 @@
 use std::sync::Arc;
 
 use yoda_http::{
-    BrowserClient, BrowserConfig, OriginServer, RateClient, RateClientConfig, ServerConfig,
-    SiteCatalog, SiteConfig,
+    BrowserClient, BrowserConfig, OriginServer, RateClient, RateClientConfig, SiteCatalog,
+    SiteConfig,
 };
 use yoda_l4lb::{EdgeRouter, Mux};
 use yoda_netsim::{Addr, Endpoint, Engine, NodeId, SimTime, Topology, Zone};
 use yoda_tcpstore::{StoreServer, StoreServerConfig};
 
-use crate::controller::{Controller, ControllerConfig};
+use crate::controller::{AutoscaleConfig, Controller};
 use crate::instance::{YodaConfig, YodaInstance};
 
 /// Testbed shape. Defaults mirror the paper's 60-VM deployment: 10 Yoda
 /// instances, 10 Memcached servers, 30 backends over 4 online services,
-/// and 10 L4 muxes.
+/// and 10 L4 muxes. The network is always [`Topology::azure_testbed`].
 #[derive(Debug, Clone)]
 pub struct TestbedConfig {
     /// RNG seed for the engine and catalog.
@@ -42,14 +42,10 @@ pub struct TestbedConfig {
     pub pages_per_site: usize,
     /// Yoda instance tuning.
     pub yoda: YodaConfig,
-    /// Controller tuning.
-    pub controller: ControllerConfig,
+    /// The controller's Figure 13 autoscaler; `None` disables it.
+    pub autoscale: Option<AutoscaleConfig>,
     /// Store server tuning.
     pub store: StoreServerConfig,
-    /// Backend tuning.
-    pub backend: ServerConfig,
-    /// Network topology.
-    pub topology: Topology,
 }
 
 impl Default for TestbedConfig {
@@ -64,10 +60,8 @@ impl Default for TestbedConfig {
             num_services: 4,
             pages_per_site: 60,
             yoda: YodaConfig::default(),
-            controller: ControllerConfig::default(),
+            autoscale: None,
             store: StoreServerConfig::default(),
-            backend: ServerConfig::default(),
-            topology: Topology::azure_testbed(),
         }
     }
 }
@@ -108,8 +102,6 @@ pub struct Testbed {
     pub yoda_cfg: YodaConfig,
     /// Store server configuration used (for store restoration).
     pub store_cfg: StoreServerConfig,
-    /// Backend configuration used (for backend restoration).
-    pub backend_cfg: ServerConfig,
     next_client_host: u8,
 }
 
@@ -119,7 +111,7 @@ impl Testbed {
     /// active instance (the paper's testbed assigns all four services to
     /// all ten instances).
     pub fn build(cfg: TestbedConfig) -> Testbed {
-        let mut engine = Engine::with_topology(cfg.seed, cfg.topology.clone());
+        let mut engine = Engine::with_topology(cfg.seed, Topology::azure_testbed());
 
         // Addresses.
         let router_addr = Addr::new(10, 0, 3, 1);
@@ -209,13 +201,13 @@ impl Testbed {
                     format!("backend-{a}"),
                     a,
                     Zone::Dc,
-                    Box::new(OriginServer::new(cfg.backend.clone(), ep, catalog.clone())),
+                    Box::new(OriginServer::new(ep, catalog.clone())),
                 )
             })
             .collect();
 
         // Controller.
-        let mut controller_node = Controller::new(cfg.controller.clone(), controller_addr);
+        let mut controller_node = Controller::new(cfg.autoscale, controller_addr);
         controller_node.set_l4(router_addr, mux_addrs.clone());
         for &a in &instance_addrs {
             controller_node.register_instance(a);
@@ -252,7 +244,6 @@ impl Testbed {
             catalog,
             yoda_cfg: cfg.yoda,
             store_cfg: cfg.store,
-            backend_cfg: cfg.backend,
             next_client_host: 1,
         };
         // Install the default equal-split policy for every service via
@@ -441,10 +432,9 @@ impl Testbed {
         let id = self.backends[i];
         let service = i % self.service_backends.len();
         let ep = self.service_backends[service][i / self.service_backends.len()];
-        let cfg = self.backend_cfg.clone();
         let catalog = self.catalog.clone();
         self.engine.schedule(at, move |eng| {
-            eng.restore_node(id, Box::new(OriginServer::new(cfg, ep, catalog)));
+            eng.restore_node(id, Box::new(OriginServer::new(ep, catalog)));
         });
     }
 

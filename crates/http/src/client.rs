@@ -31,6 +31,9 @@ pub const TLS_HELLO: &[u8] = b"CLIENTHELLO\n";
 /// How long a TLS client waits for the certificate before re-sending its
 /// hello (drives certificate re-transmission across an LB failover).
 const TLS_RETRY: SimTime = SimTime::from_secs(3);
+/// Per-request timeout of the open-loop rate client (the browsers' 30 s
+/// HTTP timeout, §7.2).
+const RATE_TIMEOUT: SimTime = SimTime::from_secs(30);
 
 /// Terminal outcome of one object fetch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -74,8 +77,6 @@ pub struct BrowserConfig {
     pub tls: bool,
     /// Hostname for the `Host` header.
     pub host: String,
-    /// TCP tuning.
-    pub tcp: TcpConfig,
 }
 
 impl Default for BrowserConfig {
@@ -92,7 +93,6 @@ impl Default for BrowserConfig {
             fixed_object: None,
             tls: false,
             host: "mysite.test".to_string(),
-            tcp: TcpConfig::default(),
         }
     }
 }
@@ -162,8 +162,7 @@ pub struct BrowserClient {
 impl BrowserClient {
     /// Creates a browser bound to `addr`.
     pub fn new(cfg: BrowserConfig, addr: Addr, catalog: Arc<SiteCatalog>) -> Self {
-        let tcp = cfg.tcp;
-        let mut stack = TcpStack::new(tcp);
+        let mut stack = TcpStack::new(TcpConfig::default());
         stack.set_ephemeral_base(
             (yoda_netsim::hash::hash_bytes(0xE9, &addr.as_u32().to_be_bytes()) % 28_000) as u16,
         );
@@ -521,12 +520,8 @@ pub struct RateClientConfig {
     pub site: usize,
     /// Stop issuing after this long (`None` = run forever).
     pub duration: Option<SimTime>,
-    /// Per-request timeout.
-    pub timeout: SimTime,
     /// Hostname for the `Host` header.
     pub host: String,
-    /// TCP tuning.
-    pub tcp: TcpConfig,
 }
 
 impl Default for RateClientConfig {
@@ -537,9 +532,7 @@ impl Default for RateClientConfig {
             object_path: None,
             site: 0,
             duration: None,
-            timeout: SimTime::from_secs(30),
             host: "mysite.test".to_string(),
-            tcp: TcpConfig::default(),
         }
     }
 }
@@ -572,8 +565,7 @@ pub struct RateClient {
 impl RateClient {
     /// Creates a rate client bound to `addr`.
     pub fn new(cfg: RateClientConfig, addr: Addr, catalog: Arc<SiteCatalog>) -> Self {
-        let tcp = cfg.tcp;
-        let mut stack = TcpStack::new(tcp);
+        let mut stack = TcpStack::new(TcpConfig::default());
         stack.set_ephemeral_base(
             (yoda_netsim::hash::hash_bytes(0xE9, &addr.as_u32().to_be_bytes()) % 28_000) as u16,
         );
@@ -641,7 +633,7 @@ impl RateClient {
         );
         self.by_conn.insert(conn, id);
         self.issued += 1;
-        ctx.set_timer(self.cfg.timeout, TimerToken::new(TIMEOUT_KIND).with_a(id));
+        ctx.set_timer(RATE_TIMEOUT, TimerToken::new(TIMEOUT_KIND).with_a(id));
     }
 
     fn finish(&mut self, ctx: &mut Ctx<'_>, fetch_id: u64, outcome: RequestOutcome) {
@@ -760,7 +752,7 @@ impl Node for RateClient {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::server::{OriginServer, ServerConfig};
+    use crate::server::OriginServer;
     use crate::site::SiteConfig;
     use yoda_netsim::{Engine, NodeId, Topology, Zone};
 
@@ -778,11 +770,7 @@ mod tests {
             "origin",
             server_ep.addr,
             Zone::Dc,
-            Box::new(OriginServer::new(
-                ServerConfig::default(),
-                server_ep,
-                catalog.clone(),
-            )),
+            Box::new(OriginServer::new(server_ep, catalog.clone())),
         );
         let cfg = BrowserConfig {
             target: server_ep,
@@ -842,11 +830,7 @@ mod tests {
             "origin",
             server_ep.addr,
             Zone::Dc,
-            Box::new(OriginServer::new(
-                ServerConfig::default(),
-                server_ep,
-                catalog.clone(),
-            )),
+            Box::new(OriginServer::new(server_ep, catalog.clone())),
         );
         let addr = Addr::new(172, 16, 0, 2);
         let id = eng.add_node(
@@ -891,11 +875,7 @@ mod tests {
             "origin",
             server_ep.addr,
             Zone::Dc,
-            Box::new(OriginServer::new(
-                ServerConfig::default(),
-                server_ep,
-                catalog.clone(),
-            )),
+            Box::new(OriginServer::new(server_ep, catalog.clone())),
         );
         eng.fail_node(srv);
         let addr = Addr::new(172, 16, 0, 3);

@@ -21,7 +21,9 @@ pub mod message;
 pub mod server;
 pub mod site;
 
-pub use client::{BrowserClient, BrowserConfig, RateClient, RateClientConfig, RequestOutcome};
+pub use client::{
+    BrowserClient, BrowserConfig, RateClient, RateClientConfig, RequestOutcome, TLS_HELLO,
+};
 pub use message::{parse_request, parse_response, HttpRequest, HttpResponse};
-pub use server::{OriginServer, ServerConfig};
+pub use server::OriginServer;
 pub use site::{ObjectId, Page, Site, SiteCatalog, SiteConfig};

@@ -18,29 +18,12 @@ use crate::site::SiteCatalog;
 /// Timer kind for deferred responses.
 const REPLY_TIMER_KIND: u32 = 0x5E4;
 
-/// Origin server tunables.
-#[derive(Debug, Clone)]
-pub struct ServerConfig {
-    /// CPU cores (paper backends: dual-core VMs).
-    pub cores: usize,
-    /// Fixed CPU time per request.
-    pub base_service: SimTime,
-    /// Additional CPU time per KiB of response body.
-    pub service_per_kib: SimTime,
-    /// TCP configuration for accepted connections.
-    pub tcp: TcpConfig,
-}
-
-impl Default for ServerConfig {
-    fn default() -> Self {
-        ServerConfig {
-            cores: 2,
-            base_service: SimTime::from_micros(800),
-            service_per_kib: SimTime::from_micros(4),
-            tcp: TcpConfig::default(),
-        }
-    }
-}
+/// CPU cores per origin server (paper backends: dual-core VMs).
+const SERVER_CORES: usize = 2;
+/// Fixed CPU time per request.
+const BASE_SERVICE: SimTime = SimTime::from_micros(800);
+/// Additional CPU time per KiB of response body.
+const SERVICE_PER_KIB: SimTime = SimTime::from_micros(4);
 
 struct PendingReply {
     conn: ConnId,
@@ -59,7 +42,6 @@ const LATENCY_EWMA_ALPHA: f64 = 0.3;
 /// bytes served, and a resettable window counter (paper Fig. 14 plots the
 /// per-server traffic split over time).
 pub struct OriginServer {
-    cfg: ServerConfig,
     listen: Endpoint,
     catalog: Arc<SiteCatalog>,
     stack: TcpStack,
@@ -82,15 +64,12 @@ pub struct OriginServer {
 
 impl OriginServer {
     /// Creates a server listening on `listen`, serving `catalog`.
-    pub fn new(cfg: ServerConfig, listen: Endpoint, catalog: Arc<SiteCatalog>) -> Self {
-        let cores = cfg.cores;
-        let tcp = cfg.tcp;
+    pub fn new(listen: Endpoint, catalog: Arc<SiteCatalog>) -> Self {
         OriginServer {
-            cfg,
             listen,
             catalog,
-            stack: TcpStack::new(tcp),
-            cpu: ServiceQueue::new(cores),
+            stack: TcpStack::new(TcpConfig::default()),
+            cpu: ServiceQueue::new(SERVER_CORES),
             buffers: Default::default(),
             pending: Default::default(),
             next_reply: 0,
@@ -164,9 +143,9 @@ impl OriginServer {
             }
         };
         let close_after = !req.keep_alive();
-        let base = self.cfg.base_service
+        let base = BASE_SERVICE
             + SimTime::from_micros(
-                self.cfg.service_per_kib.as_micros() * (response.body.len() as u64 / 1024),
+                SERVICE_PER_KIB.as_micros() * (response.body.len() as u64 / 1024),
             );
         let service =
             SimTime::from_micros((base.as_micros() as f64 * self.speed_factor) as u64);
@@ -309,7 +288,7 @@ mod tests {
     fn server_construction() {
         let catalog = Arc::new(SiteCatalog::generate(1, &[SiteConfig::default()]));
         let ep = Endpoint::new(Addr::new(10, 1, 0, 1), 80);
-        let srv = OriginServer::new(ServerConfig::default(), ep, catalog);
+        let srv = OriginServer::new(ep, catalog);
         assert_eq!(srv.endpoint(), ep);
         assert_eq!(srv.requests, 0);
     }
@@ -318,7 +297,7 @@ mod tests {
     fn probe_reply_carries_rif_and_latency() {
         let catalog = Arc::new(SiteCatalog::generate(1, &[SiteConfig::default()]));
         let ep = Endpoint::new(Addr::new(10, 1, 0, 1), 80);
-        let mut srv = OriginServer::new(ServerConfig::default(), ep, catalog);
+        let mut srv = OriginServer::new(ep, catalog);
         srv.record_latency(SimTime::from_millis(4));
         let mut eng = Engine::with_topology(1, Topology::uniform(SimTime::from_millis(1)));
 
@@ -344,7 +323,7 @@ mod tests {
     fn latency_ewma_blends_samples() {
         let catalog = Arc::new(SiteCatalog::generate(1, &[SiteConfig::default()]));
         let ep = Endpoint::new(Addr::new(10, 1, 0, 1), 80);
-        let mut srv = OriginServer::new(ServerConfig::default(), ep, catalog);
+        let mut srv = OriginServer::new(ep, catalog);
         srv.record_latency(SimTime::from_micros(1000));
         assert_eq!(srv.latency_ewma(), SimTime::from_micros(1000));
         srv.record_latency(SimTime::from_micros(2000));
@@ -356,7 +335,7 @@ mod tests {
     fn speed_factor_scales_service_time() {
         let catalog = Arc::new(SiteCatalog::generate(1, &[SiteConfig::default()]));
         let ep = Endpoint::new(Addr::new(10, 1, 0, 1), 80);
-        let mut srv = OriginServer::new(ServerConfig::default(), ep, catalog);
+        let mut srv = OriginServer::new(ep, catalog);
         srv.set_speed_factor(5.0);
         assert_eq!(srv.speed_factor, 5.0);
         srv.set_speed_factor(-1.0);
@@ -374,7 +353,7 @@ mod tests {
             "origin",
             ep.addr,
             Zone::Dc,
-            Box::new(OriginServer::new(ServerConfig::default(), ep, catalog)),
+            Box::new(OriginServer::new(ep, catalog)),
         );
         eng.run_for(SimTime::from_millis(10));
     }

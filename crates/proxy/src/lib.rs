@@ -21,5 +21,5 @@
 pub mod instance;
 pub mod testbed;
 
-pub use instance::{ProxyConfig, ProxyInstance};
+pub use instance::ProxyInstance;
 pub use testbed::{ProxyTestbed, ProxyTestbedConfig};

@@ -4,17 +4,17 @@
 
 use std::sync::Arc;
 
-use yoda_core::controller::{Controller, ControllerConfig};
+use yoda_core::controller::Controller;
 use yoda_http::{
-    BrowserClient, BrowserConfig, OriginServer, RateClient, RateClientConfig, ServerConfig,
-    SiteCatalog, SiteConfig,
+    BrowserClient, BrowserConfig, OriginServer, RateClient, RateClientConfig, SiteCatalog,
+    SiteConfig,
 };
 use yoda_l4lb::{EdgeRouter, Mux};
 use yoda_netsim::{Addr, Endpoint, Engine, NodeId, SimTime, Topology, Zone};
 
-use crate::instance::{ProxyConfig, ProxyInstance};
+use crate::instance::ProxyInstance;
 
-/// Proxy testbed shape.
+/// Proxy testbed shape (network: [`Topology::azure_testbed`]).
 #[derive(Debug, Clone)]
 pub struct ProxyTestbedConfig {
     /// RNG seed.
@@ -29,14 +29,6 @@ pub struct ProxyTestbedConfig {
     pub num_services: usize,
     /// Pages per site.
     pub pages_per_site: usize,
-    /// Proxy tuning.
-    pub proxy: ProxyConfig,
-    /// Controller tuning.
-    pub controller: ControllerConfig,
-    /// Backend tuning.
-    pub backend: ServerConfig,
-    /// Topology.
-    pub topology: Topology,
 }
 
 impl Default for ProxyTestbedConfig {
@@ -48,10 +40,6 @@ impl Default for ProxyTestbedConfig {
             num_muxes: 10,
             num_services: 4,
             pages_per_site: 60,
-            proxy: ProxyConfig::default(),
-            controller: ControllerConfig::default(),
-            backend: ServerConfig::default(),
-            topology: Topology::azure_testbed(),
         }
     }
 }
@@ -84,7 +72,7 @@ pub struct ProxyTestbed {
 impl ProxyTestbed {
     /// Assembles the proxy testbed with equal-split default policies.
     pub fn build(cfg: ProxyTestbedConfig) -> ProxyTestbed {
-        let mut engine = Engine::with_topology(cfg.seed, cfg.topology.clone());
+        let mut engine = Engine::with_topology(cfg.seed, Topology::azure_testbed());
         let router_addr = Addr::new(10, 0, 3, 1);
         let controller_addr = Addr::new(10, 0, 4, 1);
         let mux_addrs: Vec<Addr> =
@@ -126,7 +114,7 @@ impl ProxyTestbed {
                     format!("haproxy-{a}"),
                     a,
                     Zone::Dc,
-                    Box::new(ProxyInstance::new(cfg.proxy.clone(), a)),
+                    Box::new(ProxyInstance::new(a)),
                 )
             })
             .collect();
@@ -141,12 +129,12 @@ impl ProxyTestbed {
                     format!("backend-{a}"),
                     a,
                     Zone::Dc,
-                    Box::new(OriginServer::new(cfg.backend.clone(), ep, catalog.clone())),
+                    Box::new(OriginServer::new(ep, catalog.clone())),
                 )
             })
             .collect();
 
-        let mut controller_node = Controller::new(cfg.controller.clone(), controller_addr);
+        let mut controller_node = Controller::new(None, controller_addr);
         controller_node.set_l4(router_addr, mux_addrs.clone());
         for &a in &instance_addrs {
             controller_node.register_instance(a);

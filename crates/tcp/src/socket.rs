@@ -24,40 +24,34 @@ use yoda_netsim::{Endpoint, SimTime};
 use crate::segment::{Flags, Segment};
 use crate::seq::SeqNum;
 
+/// Maximum segment size (payload bytes per segment). Yoda instances chunk
+/// the forwarded request by the same value, so it is one shared constant.
+pub const MSS: usize = 1460;
+/// Initial congestion window, in segments (RFC 6928 uses 10).
+const INITIAL_CWND_SEGMENTS: u32 = 10;
+/// Receive window advertised to the peer, in bytes.
+const RECV_WINDOW: u32 = 1 << 20;
+/// Minimum (and initial) retransmission timeout for data: the backend in
+/// Figure 12(b) retransmits at +300 ms and +600 ms.
+const MIN_RTO: SimTime = SimTime::from_millis(300);
+/// Maximum retransmission timeout after backoff.
+const MAX_RTO: SimTime = SimTime::from_secs(60);
+/// Initial retransmission timeout for SYN / SYN-ACK ("3 sec in Ubuntu",
+/// paper §4.2).
+const SYN_RTO: SimTime = SimTime::from_secs(3);
+/// How long to linger in TIME-WAIT (abbreviated; real stacks use 2MSL).
+const TIME_WAIT: SimTime = SimTime::from_secs(1);
+
 /// Tunables for a socket.
 #[derive(Debug, Clone, Copy)]
 pub struct TcpConfig {
-    /// Maximum segment size (payload bytes per segment).
-    pub mss: usize,
-    /// Initial congestion window, in segments (RFC 6928 uses 10).
-    pub initial_cwnd_segments: u32,
-    /// Receive window advertised to the peer, in bytes.
-    pub recv_window: u32,
-    /// Minimum (and initial) retransmission timeout for data.
-    pub min_rto: SimTime,
-    /// Maximum retransmission timeout after backoff.
-    pub max_rto: SimTime,
-    /// Initial retransmission timeout for SYN / SYN-ACK ("3 sec in
-    /// Ubuntu", paper §4.2).
-    pub syn_rto: SimTime,
     /// Give up (reset) after this many consecutive retransmissions.
     pub max_retries: u32,
-    /// How long to linger in TIME-WAIT (abbreviated; real stacks use 2MSL).
-    pub time_wait: SimTime,
 }
 
 impl Default for TcpConfig {
     fn default() -> Self {
-        TcpConfig {
-            mss: 1460,
-            initial_cwnd_segments: 10,
-            recv_window: 1 << 20,
-            min_rto: SimTime::from_millis(300),
-            max_rto: SimTime::from_secs(60),
-            syn_rto: SimTime::from_secs(3),
-            max_retries: 10,
-            time_wait: SimTime::from_secs(1),
-        }
+        TcpConfig { max_retries: 10 }
     }
 }
 
@@ -184,8 +178,8 @@ impl TcpSocket {
         let mut sock = TcpSocket::blank(cfg, local, remote, iss);
         sock.state = SocketState::SynSent;
         sock.snd_nxt = iss + 1;
-        sock.rto = cfg.syn_rto;
-        sock.rtx_deadline = Some(now + cfg.syn_rto);
+        sock.rto = SYN_RTO;
+        sock.rtx_deadline = Some(now + SYN_RTO);
         let syn = sock.make_segment(iss, Flags::SYN, Bytes::new());
         (sock, syn)
     }
@@ -212,8 +206,8 @@ impl TcpSocket {
         sock.irs = syn.seq;
         sock.rcv_nxt = syn.seq + 1;
         sock.peer_window = syn.window;
-        sock.rto = cfg.syn_rto;
-        sock.rtx_deadline = Some(now + cfg.syn_rto);
+        sock.rto = SYN_RTO;
+        sock.rtx_deadline = Some(now + SYN_RTO);
         let synack = sock.make_segment(iss, Flags::SYN_ACK, Bytes::new());
         Some((sock, synack))
     }
@@ -231,13 +225,13 @@ impl TcpSocket {
             data_base: iss + 1,
             fin_queued: false,
             fin_sent: false,
-            peer_window: cfg.recv_window,
-            cwnd: cfg.initial_cwnd_segments * cfg.mss as u32,
+            peer_window: RECV_WINDOW,
+            cwnd: INITIAL_CWND_SEGMENTS * MSS as u32,
             ssthresh: u32::MAX,
             dup_acks: 0,
             srtt: None,
             rttvar: SimTime::ZERO,
-            rto: cfg.min_rto,
+            rto: MIN_RTO,
             retries: 0,
             rtx_deadline: None,
             rtt_probe: None,
@@ -260,7 +254,7 @@ impl TcpSocket {
             seq,
             ack: if flags.ack { self.rcv_nxt } else { SeqNum::new(0) },
             flags,
-            window: self.cfg.recv_window,
+            window: RECV_WINDOW,
             payload,
         }
     }
@@ -390,11 +384,11 @@ impl TcpSocket {
         self.rtt_probe = None;
         // Back off and collapse the window (RFC 5681 on RTO).
         let inflight = self.inflight_bytes();
-        self.ssthresh = (inflight / 2).max(2 * self.cfg.mss as u32);
-        self.cwnd = self.cfg.mss as u32;
+        self.ssthresh = (inflight / 2).max(2 * MSS as u32);
+        self.cwnd = MSS as u32;
         self.dup_acks = 0;
         self.rto = SimTime::from_micros(
-            (self.rto.as_micros() * 2).min(self.cfg.max_rto.as_micros()),
+            (self.rto.as_micros() * 2).min(MAX_RTO.as_micros()),
         );
         self.rtx_deadline = Some(now + self.rto);
         self.retransmitted_segments += 1;
@@ -428,7 +422,7 @@ impl TcpSocket {
             return Vec::new();
         }
         let off = (self.snd_una - self.data_base) as usize;
-        let len = inflight.min(self.cfg.mss);
+        let len = inflight.min(MSS);
         let Some(window) = self.unacked.get(off..off + len) else {
             // Accounting drift between snd_una and the buffer; nothing
             // sane to retransmit, recover via ACK clocking instead.
@@ -467,7 +461,7 @@ impl TcpSocket {
             let budget = window.saturating_sub(inflight) as usize;
             let sent_off = (self.snd_nxt - self.data_base) as usize;
             let avail = self.unacked.len().saturating_sub(sent_off);
-            let len = budget.min(avail).min(self.cfg.mss);
+            let len = budget.min(avail).min(MSS);
             if len == 0 {
                 break;
             }
@@ -532,7 +526,7 @@ impl TcpSocket {
         self.peer_window = seg.window;
         self.state = SocketState::Established;
         self.retries = 0;
-        self.rto = self.cfg.min_rto;
+        self.rto = MIN_RTO;
         self.rtx_deadline = None;
         let mut out = vec![self.make_segment(self.snd_nxt, Flags::ACK, Bytes::new())];
         out.extend(self.transmit_window(now));
@@ -549,7 +543,7 @@ impl TcpSocket {
             self.peer_window = seg.window;
             self.state = SocketState::Established;
             self.retries = 0;
-            self.rto = self.cfg.min_rto;
+            self.rto = MIN_RTO;
             self.rtx_deadline = None;
             // The ACK may carry data (and often does: the HTTP request).
             let mut out = self.on_segment_connected(seg, now);
@@ -584,8 +578,8 @@ impl TcpSocket {
                 self.dup_acks += 1;
                 if self.dup_acks == 3 {
                     // Fast retransmit.
-                    self.ssthresh = (self.inflight_bytes() / 2).max(2 * self.cfg.mss as u32);
-                    self.cwnd = self.ssthresh + 3 * self.cfg.mss as u32;
+                    self.ssthresh = (self.inflight_bytes() / 2).max(2 * MSS as u32);
+                    self.cwnd = self.ssthresh + 3 * MSS as u32;
                     self.retransmitted_segments += 1;
                     self.rtt_probe = None;
                     out.extend(self.retransmit_head());
@@ -620,7 +614,7 @@ impl TcpSocket {
             }
         }
         // Congestion window growth.
-        let mss = self.cfg.mss as u32;
+        let mss = MSS as u32;
         if self.cwnd < self.ssthresh {
             self.cwnd = self.cwnd.saturating_add(acked.min(mss));
         } else {
@@ -685,16 +679,14 @@ impl TcpSocket {
         self.rto = self.estimated_rto();
     }
 
-    /// RTO from the current Jacobson estimate (min_rto when unsampled).
+    /// RTO from the current Jacobson estimate (`MIN_RTO` when unsampled).
     fn estimated_rto(&self) -> SimTime {
         match self.srtt {
             Some(srtt) => {
                 let rto_us = srtt.as_micros() + 4 * self.rttvar.as_micros();
-                SimTime::from_micros(
-                    rto_us.clamp(self.cfg.min_rto.as_micros(), self.cfg.max_rto.as_micros()),
-                )
+                SimTime::from_micros(rto_us.clamp(MIN_RTO.as_micros(), MAX_RTO.as_micros()))
             }
-            None => self.cfg.min_rto,
+            None => MIN_RTO,
         }
     }
 
@@ -760,7 +752,7 @@ impl TcpSocket {
     }
 
     fn enter_time_wait(&mut self, now: SimTime) {
-        self.time_wait_deadline = Some(now + self.cfg.time_wait);
+        self.time_wait_deadline = Some(now + TIME_WAIT);
         self.rtx_deadline = None;
     }
 }
@@ -881,7 +873,7 @@ mod tests {
         let (mut client, mut server) = handshake();
         let t0 = SimTime::from_millis(1);
         let segs = client.send(b"hello", t0);
-        // Segments lost: nothing delivered. RTO fires at min_rto (300 ms).
+        // Segments lost: nothing delivered. RTO fires at `MIN_RTO` (300 ms).
         drop(segs);
         let deadline = client.next_deadline().expect("rtx armed");
         assert_eq!(deadline, t0 + SimTime::from_millis(300));
@@ -926,10 +918,7 @@ mod tests {
 
     #[test]
     fn retry_exhaustion_resets() {
-        let cfg = TcpConfig {
-            max_retries: 2,
-            ..TcpConfig::default()
-        };
+        let cfg = TcpConfig { max_retries: 2 };
         let (c_ep, s_ep) = eps();
         let (mut client, _) = TcpSocket::connect(cfg, c_ep, s_ep, SeqNum::new(1), SimTime::ZERO);
         let mut now = SimTime::ZERO;
@@ -1033,7 +1022,7 @@ mod tests {
         let segs = client.send(b"x", t0);
         let acks = deliver(&mut server, &segs, t0 + SimTime::from_millis(100));
         deliver(&mut client, &acks, t0 + SimTime::from_millis(200));
-        // SRTT ≈ 200 ms; RTO = srtt + 4*rttvar ≈ 600 ms, above min_rto.
+        // SRTT ≈ 200 ms; RTO = srtt + 4*rttvar ≈ 600 ms, above `MIN_RTO`.
         let segs2 = client.send(b"y", SimTime::from_millis(300));
         let _ = segs2;
         let dl = client.next_deadline().expect("armed");

@@ -26,12 +26,12 @@
 //!
 //! - **Per-replica suspicion.** Every replica carries a latency EWMA and
 //!   a consecutive-no-answer counter ([`ReplicaStat`]); after
-//!   `suspect_after` silent ops in a row the replica is quarantined for
-//!   `quarantine` — reads prefer the other replica until it expires.
+//!   `SUSPECT_AFTER` silent ops in a row the replica is quarantined for
+//!   `QUARANTINE` — reads prefer the other replica until it expires.
 //!   Writes still fan out to every replica (durability trumps latency).
 //! - **Hedged reads.** A `get` contacts the preferred replica only; if
-//!   no reply lands within `clamp(hedge_mult × EWMA, hedge_min,
-//!   hedge_max)` the backup is contacted without giving up on the first.
+//!   no reply lands within `clamp(HEDGE_MULT × EWMA, HEDGE_MIN,
+//!   HEDGE_MAX)` the backup is contacted without giving up on the first.
 //!   A miss reply fires the backup immediately (a miss on one replica
 //!   must never conclude the op while the other may hold the value).
 //! - **Background write repair.** A write that completes with fewer
@@ -50,6 +50,7 @@ use yoda_netsim::{Addr, Ctx, Endpoint, Histogram, Packet, SimTime, TimerToken};
 
 use crate::proto::{StoreOp, StoreRequest, StoreResponse, StoreStatus};
 use crate::ring::HashRing;
+use crate::server::STORE_PORT;
 
 /// Timer-token kind reserved for store-client operation timeouts.
 pub const STORE_TIMER_KIND: u32 = 0x5709;
@@ -58,53 +59,26 @@ pub const STORE_HEDGE_KIND: u32 = 0x570A;
 /// Timer-token kind for background write-repair retries.
 pub const STORE_RETRY_KIND: u32 = 0x570B;
 
-/// Client configuration.
-#[derive(Debug, Clone)]
-pub struct StoreClientConfig {
-    /// Replication factor K (paper evaluates K=2; K=1 is "default
-    /// Memcached").
-    pub replicas: usize,
-    /// Virtual nodes per server on the ring.
-    pub vnodes: usize,
-    /// Per-operation timeout (covers dead servers).
-    pub op_timeout: SimTime,
-    /// Store server port.
-    pub server_port: u16,
-    /// Floor of the adaptive hedge delay for reads.
-    pub hedge_min: SimTime,
-    /// Ceiling of the adaptive hedge delay.
-    pub hedge_max: SimTime,
-    /// Hedge delay = `hedge_mult ×` the preferred replica's latency EWMA,
-    /// clamped into `[hedge_min, hedge_max]`.
-    pub hedge_mult: f64,
-    /// Background repair rounds for under-acked writes (0 disables).
-    pub max_retries: u32,
-    /// Backoff before the first repair round; doubles each round, plus
-    /// seeded jitter of up to half the round's backoff.
-    pub retry_backoff: SimTime,
-    /// Consecutive unanswered ops before a replica is quarantined.
-    pub suspect_after: u32,
-    /// How long a quarantined replica is deprioritized for reads.
-    pub quarantine: SimTime,
-}
-
-impl Default for StoreClientConfig {
-    fn default() -> Self {
-        StoreClientConfig {
-            replicas: 2,
-            vnodes: 64,
-            op_timeout: SimTime::from_millis(100),
-            server_port: 11211,
-            hedge_min: SimTime::from_millis(1),
-            hedge_max: SimTime::from_millis(50),
-            hedge_mult: 3.0,
-            max_retries: 2,
-            retry_backoff: SimTime::from_millis(25),
-            suspect_after: 3,
-            quarantine: SimTime::from_secs(1),
-        }
-    }
-}
+/// Virtual nodes per server on the ring.
+const VNODES: usize = 64;
+/// Per-operation timeout (covers dead servers).
+pub const OP_TIMEOUT: SimTime = SimTime::from_millis(100);
+/// Floor of the adaptive hedge delay for reads.
+const HEDGE_MIN: SimTime = SimTime::from_millis(1);
+/// Ceiling of the adaptive hedge delay.
+const HEDGE_MAX: SimTime = SimTime::from_millis(50);
+/// Hedge delay = `HEDGE_MULT ×` the preferred replica's latency EWMA,
+/// clamped into `[HEDGE_MIN, HEDGE_MAX]`.
+const HEDGE_MULT: f64 = 3.0;
+/// Background repair rounds for under-acked writes.
+const REPAIR_RETRIES: u32 = 2;
+/// Backoff before the first repair round; doubles each round, plus
+/// seeded jitter of up to half the round's backoff.
+const RETRY_BACKOFF: SimTime = SimTime::from_millis(25);
+/// Consecutive unanswered ops before a replica is quarantined.
+const SUSPECT_AFTER: u32 = 3;
+/// How long a quarantined replica is deprioritized for reads.
+const QUARANTINE: SimTime = SimTime::from_secs(1);
 
 /// Final outcome of an operation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -217,7 +191,9 @@ struct Repair {
 /// The client library: embed in a node, route RPC packets and timers
 /// whose kind passes [`StoreClient::owns_timer_kind`] to it.
 pub struct StoreClient {
-    cfg: StoreClientConfig,
+    /// Replication factor K (paper evaluates K=2; K=1 is "default
+    /// Memcached").
+    replicas: usize,
     ring: HashRing,
     local: Endpoint,
     pending: BTreeMap<u64, PendingOp>,
@@ -247,11 +223,12 @@ pub struct StoreClient {
 }
 
 impl StoreClient {
-    /// Creates a client for the given store servers, sending from `local`.
-    pub fn new(cfg: StoreClientConfig, local: Endpoint, servers: &[Addr]) -> Self {
-        let ring = HashRing::new(servers, cfg.vnodes);
+    /// Creates a client that writes every key to `replicas` of the given
+    /// store servers, sending from `local`.
+    pub fn new(replicas: usize, local: Endpoint, servers: &[Addr]) -> Self {
+        let ring = HashRing::new(servers, VNODES);
         StoreClient {
-            cfg,
+            replicas,
             ring,
             local,
             pending: BTreeMap::new(),
@@ -333,16 +310,11 @@ impl StoreClient {
     /// Charges a deadline miss to the replica; enough in a row and it is
     /// quarantined (reads route around it until the quarantine expires).
     fn replica_missed(&mut self, server: Addr, now: SimTime) {
-        let suspect_after = self.cfg.suspect_after;
-        let quarantine = self.cfg.quarantine;
         let stat = self.stat(server);
         stat.timeouts += 1;
         stat.misses_in_a_row += 1;
-        if suspect_after > 0
-            && stat.misses_in_a_row >= suspect_after
-            && stat.quarantined_until <= now
-        {
-            stat.quarantined_until = now + quarantine;
+        if stat.misses_in_a_row >= SUSPECT_AFTER && stat.quarantined_until <= now {
+            stat.quarantined_until = now + QUARANTINE;
             stat.quarantines += 1;
             stat.misses_in_a_row = 0;
             self.quarantines += 1;
@@ -358,7 +330,7 @@ impl StoreClient {
 
     /// Adaptive hedge delay before contacting the next replica of a read:
     /// a multiple of the contacted replica's latency EWMA, clamped. With
-    /// no samples yet this is `hedge_min` — aggressive, but the extra
+    /// no samples yet this is `HEDGE_MIN` — aggressive, but the extra
     /// read is cheap and the deadline still bounds everything.
     fn hedge_delay(&self, server: Addr) -> SimTime {
         let ewma = self
@@ -366,10 +338,8 @@ impl StoreClient {
             .get(&server)
             .map(|s| s.ewma.as_micros())
             .unwrap_or(0);
-        let scaled = (ewma as f64 * self.cfg.hedge_mult) as u64;
-        SimTime::from_micros(scaled)
-            .max(self.cfg.hedge_min)
-            .min(self.cfg.hedge_max)
+        let scaled = (ewma as f64 * HEDGE_MULT) as u64;
+        SimTime::from_micros(scaled).max(HEDGE_MIN).min(HEDGE_MAX)
     }
 
     fn send_to(&self, ctx: &mut Ctx<'_>, server: Addr, req_id: u64, op: StoreOp, key: &Bytes, value: &Bytes) {
@@ -379,7 +349,7 @@ impl StoreClient {
             key: key.clone(),
             value: value.clone(),
         };
-        let dst = Endpoint::new(server, self.cfg.server_port);
+        let dst = Endpoint::new(server, STORE_PORT);
         ctx.send(req.into_packet(self.local, dst));
     }
 
@@ -387,7 +357,7 @@ impl StoreClient {
         let req_id = self.next_req;
         self.next_req += 1;
         let now = ctx.now();
-        let mut replicas = self.ring.replicas(&key, self.cfg.replicas);
+        let mut replicas = self.ring.replicas(&key, self.replicas);
         let is_write = !matches!(op, StoreOp::Get);
         if is_write {
             // A newer write supersedes any pending repair of the same key:
@@ -442,10 +412,7 @@ impl StoreClient {
                 ctx.set_timer(delay, TimerToken::new(STORE_HEDGE_KIND).with_a(req_id));
             }
         }
-        ctx.set_timer(
-            self.cfg.op_timeout,
-            TimerToken::new(STORE_TIMER_KIND).with_a(req_id),
-        );
+        ctx.set_timer(OP_TIMEOUT, TimerToken::new(STORE_TIMER_KIND).with_a(req_id));
     }
 
     /// Contacts the next uncontacted replica of a pending read, if any.
@@ -617,7 +584,7 @@ impl StoreClient {
         // Under-acked write: repair the silent replicas in the background.
         // The caller's event is NOT delayed — it reports the acks observed
         // at the deadline, same as before repair existed.
-        if !matches!(op.op, StoreOp::Get) && !silent.is_empty() && self.cfg.max_retries > 0 {
+        if !matches!(op.op, StoreOp::Get) && !silent.is_empty() {
             self.repairs.insert(
                 req_id,
                 Repair {
@@ -638,7 +605,7 @@ impl StoreClient {
     /// plus up to half of that again, drawn from the owning node's RNG
     /// stream (per-node, so bit-for-bit reproducible).
     fn repair_backoff(&self, ctx: &mut Ctx<'_>, round: u32) -> SimTime {
-        let base = self.cfg.retry_backoff.as_micros() << round.min(16);
+        let base = RETRY_BACKOFF.as_micros() << round.min(16);
         let jitter = ctx.node_rng().gen_range(0..=base / 2);
         SimTime::from_micros(base + jitter)
     }
@@ -649,7 +616,7 @@ impl StoreClient {
                 // Acked in the meantime or superseded by a newer write.
                 return;
             };
-            if rep.attempt >= self.cfg.max_retries {
+            if rep.attempt >= REPAIR_RETRIES {
                 self.repairs.remove(&req_id);
                 self.repairs_abandoned += 1;
                 return;
@@ -756,16 +723,12 @@ mod tests {
             ));
         }
         let me = Endpoint::new(Addr::new(10, 0, 0, 9), 7000);
-        let cfg = StoreClientConfig {
-            replicas,
-            ..StoreClientConfig::default()
-        };
         let id = eng.add_node(
             "client",
             me.addr,
             Zone::Dc,
             Box::new(ClientNode {
-                client: StoreClient::new(cfg, me, &servers),
+                client: StoreClient::new(replicas, me, &servers),
                 events: Vec::new(),
             }),
         );
@@ -961,7 +924,7 @@ mod tests {
         // During the partition: one ack, completed at the op deadline.
         let during = ev(10);
         assert_eq!(during.outcome, StoreOutcome::Done { acks: 1 });
-        assert!(during.latency >= StoreClientConfig::default().op_timeout);
+        assert!(during.latency >= OP_TIMEOUT);
         // After the heal: both acks again, back at DC round-trip speed.
         let after = ev(11);
         assert_eq!(after.outcome, StoreOutcome::Done { acks: 2 });
@@ -993,7 +956,7 @@ mod tests {
         // Brown out the primary: alive, but far beyond the op deadline.
         eng.partition_node(victim);
         // Three writes in a row, each missing the victim's ack, push it
-        // over suspect_after and into quarantine.
+        // over `SUSPECT_AFTER` and into quarantine.
         for (i, at) in [10u64, 220, 430].iter().enumerate() {
             let tag = 20 + i as u64;
             eng.schedule(SimTime::from_millis(*at), move |eng| {

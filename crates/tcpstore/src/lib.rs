@@ -29,9 +29,9 @@ pub mod ring;
 pub mod server;
 
 pub use client::{
-    ReplicaStat, StoreClient, StoreClientConfig, StoreEvent, StoreOutcome, STORE_HEDGE_KIND,
+    ReplicaStat, StoreClient, StoreEvent, StoreOutcome, OP_TIMEOUT, STORE_HEDGE_KIND,
     STORE_RETRY_KIND, STORE_TIMER_KIND,
 };
 pub use proto::{StoreOp, StoreRequest, StoreResponse, StoreStatus};
 pub use ring::HashRing;
-pub use server::{StoreServer, StoreServerConfig};
+pub use server::{StoreServer, StoreServerConfig, STORE_PORT};

@@ -12,27 +12,24 @@ use yoda_netsim::{Ctx, Endpoint, Node, Packet, ServiceQueue, SimTime, TimerToken
 
 use crate::proto::{StoreOp, StoreRequest, StoreResponse, StoreStatus};
 
+/// CPU cores per store server. With the default `per_op_service`
+/// (50 µs) one server saturates around the paper's ~80K ops/s per server
+/// envelope (§7.1): 4 cores × one op per 50 µs ≈ 80K ops/s at 100%.
+const STORE_CORES: usize = 4;
+/// Port every store server answers on, and every store client sends to.
+pub const STORE_PORT: u16 = 11211;
+
 /// Store server tunables.
-///
-/// Defaults are calibrated so one server saturates around the paper's
-/// ~80K ops/s per server envelope (§7.1): 4 cores × one op per
-/// `per_op_service` (50 µs) ≈ 80K ops/s at 100%.
 #[derive(Debug, Clone, Copy)]
 pub struct StoreServerConfig {
-    /// CPU cores.
-    pub cores: usize,
     /// CPU time consumed by one operation.
     pub per_op_service: SimTime,
-    /// Port the server answers on.
-    pub port: u16,
 }
 
 impl Default for StoreServerConfig {
     fn default() -> Self {
         StoreServerConfig {
-            cores: 4,
             per_op_service: SimTime::from_micros(50),
-            port: 11211,
         }
     }
 }
@@ -62,7 +59,7 @@ impl StoreServer {
             cfg,
             addr,
             data: BTreeMap::new(),
-            cpu: ServiceQueue::new(cfg.cores),
+            cpu: ServiceQueue::new(STORE_CORES),
             speed_factor: 1.0,
             gets: 0,
             sets: 0,
@@ -153,7 +150,7 @@ impl Node for StoreServer {
             }
         }
         // CPU model: the reply leaves once a core has processed the op.
-        let affinity = ctx.node_rng().gen_range(0..self.cfg.cores as u64);
+        let affinity = ctx.node_rng().gen_range(0..STORE_CORES as u64);
         let service = SimTime::from_micros(
             (self.cfg.per_op_service.as_micros() as f64 * self.speed_factor) as u64,
         );
@@ -165,7 +162,7 @@ impl Node for StoreServer {
             status,
             value,
         };
-        let me = Endpoint::new(self.addr, self.cfg.port);
+        let me = Endpoint::new(self.addr, STORE_PORT);
         ctx.send_after(delay, resp.into_packet(me, pkt.src));
     }
 

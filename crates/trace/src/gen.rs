@@ -2,6 +2,15 @@
 
 use yoda_netsim::rng::Rng;
 
+/// Seconds per bin (paper: 10-minute granularity).
+const BIN_SECS: u64 = 600;
+/// Approximate total rule count across VIPs (paper: 50K+).
+const TOTAL_RULES: u64 = 52_000;
+/// Zipf exponent for per-VIP traffic volumes.
+const ZIPF_ALPHA: f64 = 1.1;
+/// Peak aggregate traffic across all VIPs (req/s) at the diurnal peak.
+const PEAK_TOTAL_TRAFFIC: f64 = 600_000.0;
+
 /// Generator configuration.
 #[derive(Debug, Clone)]
 pub struct TraceConfig {
@@ -9,14 +18,6 @@ pub struct TraceConfig {
     pub num_vips: usize,
     /// Time bins (paper: 24 h at 10-minute granularity = 144).
     pub bins: usize,
-    /// Seconds per bin.
-    pub bin_secs: u64,
-    /// Approximate total rule count across VIPs (paper: 50K+).
-    pub total_rules: u64,
-    /// Zipf exponent for per-VIP traffic volumes.
-    pub zipf_alpha: f64,
-    /// Peak aggregate traffic across all VIPs (req/s) at the diurnal peak.
-    pub peak_total_traffic: f64,
     /// RNG seed.
     pub seed: u64,
 }
@@ -26,10 +27,6 @@ impl Default for TraceConfig {
         TraceConfig {
             num_vips: 110,
             bins: 144,
-            bin_secs: 600,
-            total_rules: 52_000,
-            zipf_alpha: 1.1,
-            peak_total_traffic: 600_000.0,
             seed: 20160418, // EuroSys'16 presentation day
         }
     }
@@ -86,7 +83,7 @@ impl Trace {
         let mut rng = Rng::seed_from_u64(cfg.seed);
         // Zipf volume shares.
         let weights: Vec<f64> = (1..=cfg.num_vips)
-            .map(|k| 1.0 / (k as f64).powf(cfg.zipf_alpha))
+            .map(|k| 1.0 / (k as f64).powf(ZIPF_ALPHA))
             .collect();
         let wsum: f64 = weights.iter().sum();
         // Rules: heavy-tailed but independent of traffic rank (a tenant's
@@ -100,11 +97,11 @@ impl Trace {
             // Clamped to [10, 1800]: a single VIP's rules must fit within
             // an instance's 2K-rule capacity or no assignment exists (the
             // paper's trace is feasible under R_y = 2K by construction).
-            *r = (*r / rsum * cfg.total_rules as f64).clamp(10.0, 1800.0);
+            *r = (*r / rsum * TOTAL_RULES as f64).clamp(10.0, 1800.0);
         }
         let mut vips = Vec::with_capacity(cfg.num_vips);
         for v in 0..cfg.num_vips {
-            let base = cfg.peak_total_traffic * weights[v] / wsum / 2.0;
+            let base = PEAK_TOTAL_TRAFFIC * weights[v] / wsum / 2.0;
             // Diurnal profile: head VIPs move gently (ratios near 1.07–2);
             // tail VIPs are burstier and a third of them get flash crowds
             // (ratios up to ~50) — matching Figure 15's spread.
@@ -146,7 +143,7 @@ impl Trace {
         }
         Trace {
             vips,
-            bin_secs: cfg.bin_secs,
+            bin_secs: BIN_SECS,
         }
     }
 

@@ -7,6 +7,10 @@ cd "$(dirname "$0")/.."
 echo "==> cargo build --release"
 cargo build --release --workspace
 
+echo "==> benchmark package build"
+# crates/bench/perf has its own [workspace], so the build above skips it.
+cargo build --release --offline --manifest-path crates/bench/perf/Cargo.toml
+
 echo "==> cargo test"
 cargo test -q --workspace
 

@@ -11,7 +11,7 @@
 //! the stock 50 µs) so the 10× brownout saturates it and ops queue past
 //! the 100 ms client op timeout — the regime degraded mode exists for.
 
-use yoda::core::instance::YodaInstance;
+use yoda::core::instance::{YodaInstance, WRITE_BEHIND_CAP};
 use yoda::core::testbed::{Testbed, TestbedConfig};
 use yoda::http::{BrowserClient, BrowserConfig};
 use yoda::netsim::SimTime;
@@ -65,7 +65,6 @@ fn brownout_run() -> (BrownoutPrint, f64) {
         pages_per_site: 12,
         store: StoreServerConfig {
             per_op_service: SimTime::from_millis(8),
-            ..StoreServerConfig::default()
         },
         ..TestbedConfig::default()
     });
@@ -120,7 +119,7 @@ fn brownout_run() -> (BrownoutPrint, f64) {
         print.broken += bc.broken_flows;
         lat.merge(&bc.request_latencies);
     }
-    let wb_cap = tb.yoda_cfg.write_behind_cap as u64;
+    let wb_cap = WRITE_BEHIND_CAP as u64;
     for &i in &tb.instances {
         let inst = tb.engine.node_ref::<YodaInstance>(i);
         print.degraded_entries += inst.degraded_entries;

@@ -12,7 +12,7 @@
 //! Seed counts scale up via `CHAOS_SURVIVABLE_SEEDS` /
 //! `CHAOS_UNCONSTRAINED_SEEDS` for longer local or CI soak runs.
 
-use yoda::chaos::{run_plan, run_seed, ChaosPlan, ChaosScenario, Fault, FaultKind};
+use yoda::chaos::{run_plan, run_seed, ChaosPlan, ChaosScenario, Fault, FaultKind, SHAPE};
 use yoda::netsim::SimTime;
 
 fn env_u64(name: &str, default: u64) -> u64 {
@@ -161,7 +161,7 @@ fn gray_fault_seeds_keep_every_flow_alive() {
         if ran >= n {
             break;
         }
-        let plan = ChaosPlan::generate(seed, &sc.shape(), &sc.budget);
+        let plan = ChaosPlan::generate(seed, &SHAPE, &sc.budget);
         if !plan.faults.iter().any(|f| is_gray(f.kind)) {
             continue;
         }

@@ -126,6 +126,57 @@ fn splice_ctrl_variants_reject_malformed() {
     }
 }
 
+/// The versioned VIP control messages round-trip at every version,
+/// including the extremes, and their truncations and bit flips never
+/// panic the decoder. A message cut before its version is rejected.
+#[test]
+fn instance_ctrl_vip_versions_roundtrip() {
+    let vip = yoda::netsim::Endpoint::new(yoda::netsim::Addr::new(100, 0, 0, 1), 80);
+    let rules = "name=r priority=1 match * action=split 10.1.0.2:80=1".to_string();
+    let mut rng = Rng::seed_from_u64(0x7E55);
+    let mut versions = vec![0, 1, u64::MAX];
+    versions.extend((0..16).map(|_| rng.next_u64()));
+    for version in versions {
+        let msgs = [
+            InstanceCtrl::InstallVip {
+                vip,
+                version,
+                rules_text: rules.clone(),
+                ssl_cert_len: None,
+            },
+            InstanceCtrl::InstallVip {
+                vip,
+                version,
+                rules_text: rules.clone(),
+                ssl_cert_len: Some(3000),
+            },
+            InstanceCtrl::RemoveVip { vip, version },
+        ];
+        for msg in msgs {
+            let enc = msg.encode();
+            assert_eq!(InstanceCtrl::decode(&enc).as_ref(), Some(&msg));
+            // Everything up to and including " v=" carries no version.
+            let digits = 3 + enc
+                .windows(3)
+                .position(|w| w == b" v=")
+                .expect("version token");
+            for cut in 0..enc.len() {
+                let decoded = InstanceCtrl::decode(&enc.slice(0..cut));
+                if cut <= digits {
+                    assert!(decoded.is_none(), "cut={cut} of {msg:?}");
+                }
+            }
+            for i in 0..enc.len() {
+                for bit in 0u8..8 {
+                    let mut flipped = enc.to_vec();
+                    flipped[i] ^= 1 << bit;
+                    let _ = InstanceCtrl::decode(&Bytes::from(flipped));
+                }
+            }
+        }
+    }
+}
+
 /// Rule/DSL and trace parsers reject arbitrary text without panicking.
 #[test]
 fn text_parsers_never_panic() {

@@ -5,7 +5,7 @@
 //! dependencies and every failure replays from the fixed seed below.
 
 use bytes::Bytes;
-use yoda::assign::{solve_greedy, AssignInput, Assignment, GreedyConfig, VipSpec};
+use yoda::assign::{solve_greedy, AssignInput, Assignment, VipSpec};
 use yoda::core::flowstate::{FlowRecord, SynRecord};
 use yoda::core::isn::syn_ack_isn;
 use yoda::core::rules::glob_match;
@@ -229,7 +229,7 @@ fn greedy_output_always_valid() {
             migration_limit,
             previous: None,
         };
-        if let Ok(out) = solve_greedy(&input, &GreedyConfig::default()) {
+        if let Ok(out) = solve_greedy(&input, None) {
             assert!(input.validate(&out.assignment).is_ok());
             assert!(out.assignment.num_instances() >= input.lower_bound());
         }
@@ -289,7 +289,6 @@ fn trace_csv_roundtrip() {
             num_vips: rng.gen_range(1..20usize),
             bins: rng.gen_range(1..30usize),
             seed: rng.next_u64(),
-            ..TraceConfig::default()
         });
         let parsed = Trace::from_csv(&t.to_csv()).expect("parses");
         assert_eq!(parsed.vips.len(), t.vips.len());

@@ -3,6 +3,7 @@
 //! keep-alive connection (§5.2).
 
 use bytes::BytesMut;
+use yoda::core::rules::RuleTable;
 use yoda::core::testbed::{Testbed, TestbedConfig};
 use yoda::core::YodaInstance;
 use yoda::http::{parse_response, HttpRequest, OriginServer};
@@ -190,6 +191,46 @@ fn sticky_sessions_pin_clients_through_the_lb() {
         .collect();
     let nonzero = served.iter().filter(|&&r| r > 0).count();
     assert_eq!(nonzero, 1, "sticky session used one backend: {served:?}");
+}
+
+/// A policy set in the same instant as the builder's default split (both
+/// at t=0) must win on every instance. The two installs for the VIP leave
+/// the controller together and each DC hop adds 0–50 µs of jitter, so
+/// they reach an instance in either order; the instance keeps the one
+/// with the newer controller version.
+#[test]
+fn policy_set_at_build_time_reaches_every_instance() {
+    for seed in [42, 1, 2, 3] {
+        let mut tb = Testbed::build(TestbedConfig {
+            seed,
+            ..TestbedConfig::default()
+        });
+        let vip = tb.vips[0];
+        let rules = format!(
+            "name=pin priority=1 match * action=split {}=1",
+            tb.service_backends[0][0]
+        );
+        tb.set_policy(vip, &rules);
+        tb.engine.run_for(SimTime::from_secs(2));
+        let want = RuleTable::parse(&rules).expect("rules parse").to_text();
+        let stale: Vec<usize> = tb
+            .instances
+            .iter()
+            .enumerate()
+            .filter(|&(_, &id)| {
+                tb.engine
+                    .node_ref::<YodaInstance>(id)
+                    .vip_rules_text()
+                    .get(&vip)
+                    != Some(&want)
+            })
+            .map(|(i, _)| i)
+            .collect();
+        assert!(
+            stale.is_empty(),
+            "seed {seed}: instances {stale:?} kept the default rules"
+        );
+    }
 }
 
 #[test]
